@@ -12,6 +12,13 @@ Two independent evaluation routes are provided: residue sums over a truncated
 root set (U_profile, kernel_q) and principal-value quadrature with analytic
 tails (U_integral, q_integral). They cross-validate each other; the
 quadrature route is the accuracy workhorse for the kernel-based solvers.
+
+Both routes meet in one function, convolve, which sums U or q over a
+discrete measure of atoms (s_j, a_j). U_profile and kernel_q are the unit
+atom at 0; a plateau wave is its shape's atoms. On the residue route the
+atoms below each xi enter the plus series through prefix sums of
+a_j e^{-ik s_j} and those above it the minus series through suffix sums,
+so a whole shape costs one product of xi against the roots per series.
 """
 
 from __future__ import annotations
@@ -49,12 +56,6 @@ ADMISSIBLE_RANGE = 40.0
 ADMISSIBLE_SPACING = 0.05
 # quadrature self-check target at construction time
 QUAD_SELF_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ProfileSample:
-    xi: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,96 @@ def _truncation_check(V: float, params: ModelParams, n_pairs: int,
             TruncationWarning, stacklevel=3)
 
 
+def _one_sided_sum(x, k, coef, sums, what: str) -> np.ndarray:
+    """Re sum_k e^{ik x} sums_k coef_k for each x (sums None means all 1)."""
+    E = np.outer(x, 1j * k)
+    np.exp(E, out=E)
+    if sums is not None:
+        E *= sums
+    return _real_checked(E @ coef, what)
+
+
+def _partial_sums(v: np.ndarray, side: str) -> np.ndarray:
+    """Row i sums v over atoms j < i ("plus") or j >= i ("minus"), i <= m."""
+    out = np.zeros((len(v) + 1,) + v.shape[1:], v.dtype)
+    if side == "plus":
+        out[1:] = np.cumsum(v, axis=0)
+    else:
+        out[:-1] = np.cumsum(v[::-1], axis=0)[::-1]
+    return out
+
+
+def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
+             method: str = "residue", n_pairs: int = DEFAULT_N_PAIRS):
+    """sum_j a_j f(xi - s_j) for f = U (at sigma = Sigma(V)) or f = q.
+
+    atoms = (s, a) is a discrete measure: positions s_j in ascending order,
+    within a few units of 0, and masses a_j. The classical profile and
+    kernel are the unit atom at 0, and a plateau wave is its shape's atoms.
+
+    The "residue" route splits the atoms at each xi. Those with s_j < xi
+    enter the plus branch through the prefix sums
+    P(k) = sum_j a_j e^{-ik s_j}, those with s_j > xi the minus branch
+    through the matching suffix sums, so the work is one n_xi x n_roots
+    product per branch. A branch is formed only on the rows that have atoms
+    on its side, since e^{ik xi} overflows far out on the other side. Atoms
+    at s_j = xi take the branch average at lag 0, whose mismatch measures
+    truncation. The "quad" route has no one-sided form and sums over the
+    lags xi - s_j.
+    """
+    if kind not in ("U", "q"):
+        raise ValueError(f"unknown convolution kind {kind!r}")
+    s, a = (np.asarray(v, float) for v in atoms)
+    if np.any(np.diff(s) < 0.0):
+        raise ValueError("atom positions must be in ascending order")
+    xi = np.atleast_1d(np.asarray(xi, float))
+    if method == "quad":
+        qk = quad_kernel(V, params)
+        lags = (xi[:, None] - s[None, :]).ravel()
+        vals = qk.q(lags) if kind == "q" else \
+            qk.U(lags, sigma_AC(V, params, n_pairs))
+        return vals.reshape(len(xi), len(s)) @ a
+    if method != "residue":
+        raise ValueError(f"unknown kernel method {method!r}")
+    _require_nonresonant(V, params)
+    kp, lkp, km, lkm = _branch_terms(V, params, n_pairs)
+    mu2 = 2.0 * params.mu
+    if kind == "U":
+        sigma = sigma_AC(V, params, n_pairs)
+        sides = (("plus", kp, 1.0 / (kp * lkp), sigma - 1.0, -mu2),
+                 ("minus", km, 1.0 / (km * lkm), sigma + 1.0, mu2))
+    else:
+        sides = (("plus", kp, 1j / lkp, 0.0, mu2),
+                 ("minus", km, 1j / lkm, 0.0, -mu2))
+    below = np.searchsorted(s, xi, "left")   # atoms j < below: s_j < xi
+    above = np.searchsorted(s, xi, "right")  # atoms j >= above: s_j > xi
+    out = np.zeros(xi.shape)
+    for (side, k, coef, const, scale), first in zip(sides, (below, above)):
+        rows = first > 0 if side == "plus" else first < len(s)
+        if rows.any():
+            idx = first[rows]
+            sums = _partial_sums(a[:, None] * np.exp(np.outer(s, -1j * k)),
+                                 side)
+            out[rows] += const * _partial_sums(a, side)[idx] + scale \
+                * _one_sided_sum(xi[rows], k, coef, sums[idx],
+                                 f"{kind} {side} branch")
+    on_atom = above > below
+    if on_atom.any():
+        p0, m0 = (const + scale * _one_sided_sum(
+            np.zeros(1), k, coef, None, f"{kind} {side} branch")[0]
+            for side, k, coef, const, scale in sides)
+        _truncation_check(V, params, n_pairs, p0, m0,
+                          "U_profile" if kind == "U" else "kernel_q")
+        mass = _partial_sums(a, "plus")
+        out[on_atom] += (mass[above] - mass[below])[on_atom] \
+            * (0.5 * (p0 + m0))
+    return out
+
+
+# the classical profile and kernel as a measure: one unit mass at 0
+UNIT_ATOM = (np.zeros(1), np.ones(1))
+
+
 def U_profile(xi, V: float, params: ModelParams,
               n_pairs: int = DEFAULT_N_PAIRS):
     """Two-branch residue form of the wave profile U(xi) at sigma = Sigma(V).
@@ -133,61 +224,14 @@ def U_profile(xi, V: float, params: ModelParams,
     over their lower/behind partners; at xi = 0 both branches analytically
     give 0 and the average is returned (their mismatch measures truncation).
     """
-    _require_nonresonant(V, params)
-    sigma = sigma_AC(V, params, n_pairs)
-    kp, lkp, km, lkm = _branch_terms(V, params, n_pairs)
-    xi = np.atleast_1d(np.asarray(xi, float))
-    out = np.empty(xi.shape)
-    mu = params.mu
-
-    def plus_branch(x):
-        return sigma - 1.0 - 2.0 * mu * _real_checked(
-            np.exp(1j * np.outer(x, kp)) @ (1.0 / (kp * lkp)), "U plus branch")
-
-    def minus_branch(x):
-        return sigma + 1.0 + 2.0 * mu * _real_checked(
-            np.exp(1j * np.outer(x, km)) @ (1.0 / (km * lkm)), "U minus branch")
-
-    pos, neg, zero = xi > 0, xi < 0, xi == 0
-    if pos.any():
-        out[pos] = plus_branch(xi[pos])
-    if neg.any():
-        out[neg] = minus_branch(xi[neg])
-    if zero.any():
-        p0 = plus_branch(np.zeros(1))[0]
-        m0 = minus_branch(np.zeros(1))[0]
-        _truncation_check(V, params, n_pairs, p0, m0, "U_profile")
-        out[zero] = 0.5 * (p0 + m0)
+    out = convolve(xi, UNIT_ATOM, V, params, "U", "residue", n_pairs)
     return out if out.size > 1 else float(out[0])
 
 
 def kernel_q(xi, V: float, params: ModelParams,
              n_pairs: int = DEFAULT_N_PAIRS):
     """Residue form of the kernel q(xi) = -U'(xi); continuous at xi = 0."""
-    _require_nonresonant(V, params)
-    kp, lkp, km, lkm = _branch_terms(V, params, n_pairs)
-    xi = np.atleast_1d(np.asarray(xi, float))
-    out = np.empty(xi.shape)
-    mu = params.mu
-
-    def plus_branch(x):
-        return 2.0 * mu * _real_checked(
-            np.exp(1j * np.outer(x, kp)) @ (1j / lkp), "q plus branch")
-
-    def minus_branch(x):
-        return -2.0 * mu * _real_checked(
-            np.exp(1j * np.outer(x, km)) @ (1j / lkm), "q minus branch")
-
-    pos, neg, zero = xi > 0, xi < 0, xi == 0
-    if pos.any():
-        out[pos] = plus_branch(xi[pos])
-    if neg.any():
-        out[neg] = minus_branch(xi[neg])
-    if zero.any():
-        p0 = plus_branch(np.zeros(1))[0]
-        m0 = minus_branch(np.zeros(1))[0]
-        _truncation_check(V, params, n_pairs, p0, m0, "kernel_q")
-        out[zero] = 0.5 * (p0 + m0)
+    out = convolve(xi, UNIT_ATOM, V, params, "q", "residue", n_pairs)
     return out if out.size > 1 else float(out[0])
 
 

@@ -15,8 +15,6 @@ on top of one.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, cached_property
@@ -41,8 +39,6 @@ DEFAULT_N_PAIRS = 400
 # off-axis band: for alpha = 0 complex roots cannot sit closer to the real
 # axis than this outside the resonance exclusion zone
 AXIS_OFFSET = 5e-5
-
-CACHE_ENV_VAR = "FKWAVES_CACHE_DIR"
 
 
 class Branch(Enum):
@@ -392,41 +388,19 @@ def complex_roots(V: float, params: ModelParams,
     return out
 
 
-def _cache_path(V: float, params: ModelParams, n_pairs: int) -> str | None:
-    root = os.environ.get(CACHE_ENV_VAR)
-    if not root:
-        return None
-    key = f"{V!r}|{params.mu!r}|{params.alpha!r}|{n_pairs}|1"
-    h = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return os.path.join(root, f"rootset_{h}.npz")
-
-
 @lru_cache(maxsize=256)
 def root_set(V: float, params: ModelParams,
              n_pairs: int = DEFAULT_N_PAIRS) -> RootSet:
-    """Memoized bundle of real and complex roots at velocity V.
-
-    With FKWAVES_CACHE_DIR set, root arrays are also persisted on disk so
-    that repeated CLI sweeps skip the search.
-    """
-    path = _cache_path(V, params, n_pairs)
-    if path and os.path.exists(path):
-        data = np.load(path)
-        upper, lower = data["upper"], data["lower"]
-        ahead, behind = data["ahead"], data["behind"]
+    """Memoized bundle of real and complex roots at velocity V."""
+    if params.alpha == 0.0:
+        reals = real_roots(V, params)
+        cls = [classify_real_root(r, V, params) for r in reals]
+        ahead = np.array([r for r, c in zip(reals, cls) if c is Branch.REAL_AHEAD])
+        behind = np.array([r for r, c in zip(reals, cls) if c is Branch.REAL_BEHIND])
     else:
-        if params.alpha == 0.0:
-            reals = real_roots(V, params)
-            cls = [classify_real_root(r, V, params) for r in reals]
-            ahead = np.array([r for r, c in zip(reals, cls) if c is Branch.REAL_AHEAD])
-            behind = np.array([r for r, c in zip(reals, cls) if c is Branch.REAL_BEHIND])
-        else:
-            ahead = np.array([])
-            behind = np.array([])
-        upper, lower = _complex_pair_arrays(V, params, n_pairs)
-        if path:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            np.savez(path, upper=upper, lower=lower, ahead=ahead, behind=behind)
+        ahead = np.array([])
+        behind = np.array([])
+    upper, lower = _complex_pair_arrays(V, params, n_pairs)
 
     roots: list[DispersionRoot] = []
     for arr, br in ((ahead, Branch.REAL_AHEAD), (behind, Branch.REAL_BEHIND)):

@@ -13,17 +13,15 @@ the null direction, and the stress follows from u(z) + u(-z) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .acwave import (
     ADMISSIBLE_SPACING,
+    UNIT_ATOM,
     ac_admissible,
-    kernel_q,
-    quad_kernel,
+    convolve,
     sigma_AC,
-    U_profile,
 )
 from .dispersion import DEFAULT_N_PAIRS, is_resonant
 from .errors import (
@@ -79,10 +77,26 @@ class ShapeFunction:
         w[0] = w[-1] = 0.5 * d
         return w
 
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shape as a discrete measure: positions and masses.
+
+        The masses are the trapezoidal weights times h; the point masses
+        join the atoms at the mesh ends, which are exactly -z and +z.
+        Without a mesh the point masses are the atoms, and the classical
+        z = 0 wave is one unit atom at 0.
+        """
+        if len(self.mesh):
+            s, a = self.mesh, self.trapezoid() * self.weights
+        elif self.z > 0:
+            s, a = np.array([-self.z, self.z]), np.zeros(2)
+        else:
+            s, a = np.zeros(1), np.zeros(1)
+        a[0] += self.delta_minus
+        a[-1] += self.delta_plus
+        return s, a
+
     def mass(self) -> float:
-        w = self.trapezoid()
-        return float(w @ self.weights if len(w) else 0.0) \
-            + self.delta_plus + self.delta_minus
+        return float(np.sum(self.atoms()[1]))
 
 
 @dataclass(frozen=True)
@@ -115,20 +129,10 @@ class WaveSolution:
         method "quad" (accurate, default for small batches) or "residue"
         (fast for large site grids, e.g. seeding a chain).
         """
-        xi = np.atleast_1d(np.asarray(xi, float))
-        ev = _evaluator(self.V, self.params, method or self._kernel,
-                        DEFAULT_N_PAIRS)
-        w = self.shape.trapezoid()
-        lags = xi[:, None] - self.shape.mesh[None, :] if len(w) else None
-        out = np.full(xi.shape, self.sigma - ev.Sigma)
-        if lags is not None:
-            Uv = ev.U(lags.ravel()).reshape(lags.shape)
-            out = out + Uv @ (w * self.shape.weights)
-        if self.shape.delta_minus:
-            out = out + self.shape.delta_minus * ev.U(xi + self.z)
-        if self.shape.delta_plus:
-            out = out + self.shape.delta_plus * ev.U(xi - self.z)
-        return out
+        Sigma = sigma_AC(self.V, self.params, DEFAULT_N_PAIRS)
+        return self.sigma - Sigma + convolve(
+            xi, self.shape.atoms(), self.V, self.params, "U",
+            method or self._kernel, DEFAULT_N_PAIRS)
 
     def derivative(self, xi, method: str | None = None) -> np.ndarray:
         """du/dxi; the kernel q is -dU/dxi, so this is -(h * q)(xi).
@@ -136,51 +140,8 @@ class WaveSolution:
         A traveling wave moves sites by du/dt = -V du/dxi, which seeds the
         velocity field of a chain simulation.
         """
-        xi = np.atleast_1d(np.asarray(xi, float))
-        ev = _evaluator(self.V, self.params, method or self._kernel,
-                        DEFAULT_N_PAIRS)
-        w = self.shape.trapezoid()
-        out = np.zeros(xi.shape)
-        if len(w):
-            lags = xi[:, None] - self.shape.mesh[None, :]
-            out = out - ev.q(lags.ravel()).reshape(lags.shape) \
-                @ (w * self.shape.weights)
-        if self.shape.delta_minus:
-            out = out - self.shape.delta_minus * ev.q(xi + self.z)
-        if self.shape.delta_plus:
-            out = out - self.shape.delta_plus * ev.q(xi - self.z)
-        return out
-
-
-class _Evaluator:
-    """Uniform q/U evaluation front end over the two kernel routes."""
-
-    def __init__(self, V: float, params: ModelParams, method: str = "quad",
-                 n_pairs: int = DEFAULT_N_PAIRS):
-        if method not in ("quad", "residue"):
-            raise ValueError(f"unknown kernel method {method!r}")
-        self.V = V
-        self.params = params
-        self.method = method
-        self.n_pairs = n_pairs
-        self.Sigma = sigma_AC(V, params, n_pairs)
-        self._qk = quad_kernel(V, params) if method == "quad" else None
-
-    def q(self, x) -> np.ndarray:
-        if self.method == "quad":
-            return self._qk.q(x)
-        return np.atleast_1d(kernel_q(x, self.V, self.params, self.n_pairs))
-
-    def U(self, x) -> np.ndarray:
-        if self.method == "quad":
-            return self._qk.U(x, self.Sigma)
-        return np.atleast_1d(U_profile(x, self.V, self.params, self.n_pairs))
-
-
-@lru_cache(maxsize=32)
-def _evaluator(V: float, params: ModelParams, method: str,
-               n_pairs: int) -> _Evaluator:
-    return _Evaluator(V, params, method, n_pairs)
+        return -convolve(xi, self.shape.atoms(), self.V, self.params, "q",
+                         method or self._kernel, DEFAULT_N_PAIRS)
 
 
 def _mesh_and_weights(z: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,15 +152,11 @@ def _mesh_and_weights(z: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _q_lags(z: float, m: int, ev: _Evaluator) -> np.ndarray:
-    """Kernel values q((i - j) d) for all lags of the uniform mesh."""
-    d = 2.0 * z / (m - 1)
-    lags = np.arange(-(m - 1), m) * d
-    return np.asarray(ev.q(lags))
-
-
-def _q_matrix(z: float, m: int, ev: _Evaluator) -> np.ndarray:
-    qv = _q_lags(z, m, ev)
+def _q_matrix(z: float, m: int, V: float, params: ModelParams,
+              kernel: str, n_pairs: int) -> np.ndarray:
+    # kernel values q((i - j) d) for all lags of the uniform mesh
+    lags = np.arange(-(m - 1), m) * (2.0 * z / (m - 1))
+    qv = convolve(lags, UNIT_ATOM, V, params, "q", kernel, n_pairs)
     _, w = _mesh_and_weights(z, m)
     idx = np.arange(m)
     Q = qv[(idx[:, None] - idx[None, :]) + m - 1]
@@ -219,7 +176,7 @@ def build_Q(z: float, V: float, params: ModelParams,
         raise ValueError("mesh size m must be >= 3")
     if z <= 0:
         raise ValueError("z must be positive")
-    return _q_matrix(z, m, _evaluator(V, params, kernel, n_pairs))
+    return _q_matrix(z, m, V, params, kernel, n_pairs)
 
 
 def _logdet_sign(Q: np.ndarray) -> tuple[float, float]:
@@ -242,16 +199,16 @@ def find_z(V: float, params: ModelParams,
     """
     if is_resonant(V, params):
         raise ResonantVelocity(f"V={V} is within tolerance of a resonance")
-    ev = _evaluator(V, params, kernel, n_pairs)
+    args = (V, params, kernel, n_pairs)
     zs = np.linspace(z_range[0], z_range[1], scan_points)
-    signs = np.array([_logdet_sign(_q_matrix(z, m, ev))[0] for z in zs])
+    signs = np.array([_logdet_sign(_q_matrix(z, m, *args))[0] for z in zs])
     out: list[float] = []
     for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
         a, b = zs[i], zs[i + 1]
         sa = signs[i]
         while b - a > Z_BISECT_TOL:
             c = 0.5 * (a + b)
-            if _logdet_sign(_q_matrix(c, m, ev))[0] == sa:
+            if _logdet_sign(_q_matrix(c, m, *args))[0] == sa:
                 a = c
             else:
                 b = c
@@ -299,29 +256,16 @@ def assemble_wave(shape: ShapeFunction, V: float, params: ModelParams,
     over uniformly spaced plateau samples. Admissibility is judged by
     check_generalized with default range and plateau tolerance.
     """
-    ev = _evaluator(V, params, kernel, n_pairs)
-    w = shape.trapezoid()
-    wh = w * shape.weights if len(w) else np.array([])
-
-    def conv_U(xi: np.ndarray) -> np.ndarray:
-        out = np.zeros(xi.shape)
-        if len(wh):
-            lags = xi[:, None] - shape.mesh[None, :]
-            out = out + ev.U(lags.ravel()).reshape(lags.shape) @ wh
-        if shape.delta_minus:
-            out = out + shape.delta_minus * ev.U(xi + shape.z)
-        if shape.delta_plus:
-            out = out + shape.delta_plus * ev.U(xi - shape.z)
-        return out
-
+    Sigma = sigma_AC(V, params, n_pairs)
+    atoms = shape.atoms()
     edges = np.array([shape.z, -shape.z])
-    sigma = ev.Sigma - 0.5 * float(np.sum(conv_U(edges)))
-    if shape.z > 0:
-        plateau = np.linspace(-shape.z, shape.z, PLATEAU_SAMPLES)
-        u_plat = sigma - ev.Sigma + conv_U(plateau)
-        residual = float(np.max(np.abs(u_plat)))
-    else:
-        residual = abs(sigma - ev.Sigma + float(conv_U(np.zeros(1))[0]))
+    plateau = np.linspace(-shape.z, shape.z, PLATEAU_SAMPLES) \
+        if shape.z > 0 else np.zeros(1)
+    u_edges, u_plat = np.split(convolve(
+        np.concatenate([edges, plateau]), atoms, V, params, "U", kernel,
+        n_pairs), [2])
+    sigma = Sigma - 0.5 * float(np.sum(u_edges))
+    residual = float(np.max(np.abs(sigma - Sigma + u_plat)))
     wave = WaveSolution(
         V=V, params=params, z=shape.z, sigma=sigma, shape=shape,
         residual=residual, admissible=False,
@@ -411,7 +355,7 @@ def kinetic_curve(V_list, params: ModelParams, m: int = DEFAULT_MESH,
         except (NoCandidate, NoAdmissibleWave) as exc:
             flag = ("NO_CANDIDATE" if isinstance(exc, NoCandidate)
                     else "NO_ADMISSIBLE_WAVE")
-            sigma = _evaluator(V, params, kernel, n_pairs).Sigma
+            sigma = sigma_AC(V, params, n_pairs)
             out.append(KineticPoint(V=V, sigma=sigma, z=0.0,
                                     admissible=False, branch="ac",
                                     flag=flag))

@@ -1,5 +1,7 @@
 """Lattice dynamics: force law, energy, integration, front classification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,9 @@ from fkwaves import (
 STEADY_V_S014 = 0.5379144326512725
 
 ONE_PARTICLE_TOL = 1e-7
+# seeding a 3001-site chain from the V = 0.2 wave; the residue convolution
+# needs one sites x roots product per branch, not one per (site, sample) lag
+SEED_PEAK_BYTES = 128 * 2**20
 
 
 class TestForceLaw:
@@ -118,6 +123,15 @@ class TestClassification:
         st = init_from_wave(wave_v02, N=400)
         assert abs(front_position(st.u) - 200) <= 1
         assert st.sigma == pytest.approx(wave_v02.sigma)
+
+    def test_wave_seed_memory_bounded(self, wave_v02):
+        tracemalloc.start()
+        try:
+            init_from_wave(wave_v02, N=3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= SEED_PEAK_BYTES
 
 
 class TestSweep:

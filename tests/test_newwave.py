@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fkwaves import (
     ModelParams,
@@ -15,6 +16,7 @@ from fkwaves import (
     sigma_AC,
     solve_shape,
 )
+from fkwaves.acwave import U_profile, convolve, kernel_q
 
 # frozen pipeline outputs at default mesh/kernel
 Z_V02 = 0.21245312092439184
@@ -24,6 +26,8 @@ SIGMA_V03 = 0.1281659579778525
 Z_V025_M40 = 0.13960252013596347
 
 FIRST_RESONANCE_V = 0.24441475248391872
+# residue convolution of a whole measure against the sum over its atoms
+CONVOLVE_TOL = 1e-11
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +145,54 @@ class TestKinetics:
         assert rows[0].branch == "new" and rows[0].admissible
         assert rows[0].z > 0.0
         assert np.isfinite(rows[0].sigma)
+
+
+@st.composite
+def atoms_and_points(draw):
+    """Sorted atoms on [-1, 1] with masses, and points on, between and far
+    outside them."""
+    n = draw(st.integers(1, 6))
+    s = np.sort(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                               max_size=n)))
+    on = [s[i] for i in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                      max_size=3))]
+    edges = np.concatenate([[s[0] - 0.5], s, [s[-1] + 0.5]])
+    between = []
+    for i, t in draw(st.lists(st.tuples(st.integers(0, n),
+                                        st.floats(0.01, 0.99)),
+                              min_size=1, max_size=4)):
+        between.append(edges[i] + t * (edges[i + 1] - edges[i]))
+    far = [sign * x for sign, x in draw(st.lists(
+        st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(1.5, 1500.0)),
+        min_size=1, max_size=3))]
+    return s, a, np.array(on + between + far)
+
+
+class TestConvolution:
+    @pytest.mark.parametrize("V, alpha", [(0.2, 0.0), (0.25, 0.1)])
+    @settings(max_examples=40, deadline=None)
+    @given(case=atoms_and_points())
+    def test_residue_matches_sum_over_atoms(self, V, alpha, case):
+        s, a, xi = case
+        p = ModelParams(1.0, alpha)
+        for kind, f in (("U", U_profile), ("q", kernel_q)):
+            ref = sum(aj * np.atleast_1d(f(xi - sj, V, p))
+                      for sj, aj in zip(s, a))
+            got = convolve(xi, (s, a), V, p, kind)
+            assert np.abs(got - ref).max() <= CONVOLVE_TOL, kind
+
+    @pytest.mark.parametrize("V, alpha", [(0.2, 0.0), (0.25, 0.1)])
+    def test_lag_zero_is_branch_average(self, V, alpha):
+        # an atom at xi belongs to neither side; e^{ik x} is exactly 1 at
+        # the smallest |x|, so those points give the one-sided limits
+        p = ModelParams(1.0, alpha)
+        tiny = np.nextafter(0.0, 1.0)
+        for f in (U_profile, kernel_q):
+            plus, zero, minus = f(np.array([tiny, 0.0, -tiny]), V, p)
+            assert zero == pytest.approx(0.5 * (plus + minus), abs=1e-15)
+
+    def test_rejects_unsorted_atoms(self, params):
+        with pytest.raises(ValueError):
+            convolve(np.zeros(1), (np.array([0.1, -0.1]), np.ones(2)),
+                     0.2, params)
