@@ -6,7 +6,6 @@ build silently falls back to the pure Python package; fkwaves selects the
 implementation at import time.
 """
 
-import os
 import sys
 
 from setuptools import setup
@@ -54,6 +53,6 @@ class optional_build_ext(build_ext):
 
 
 setup(
-    ext_modules=[] if os.environ.get("FKWAVES_NO_EXT") else make_extensions(),
+    ext_modules=make_extensions(),
     cmdclass={"build_ext": optional_build_ext},
 )

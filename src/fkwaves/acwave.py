@@ -39,13 +39,7 @@ from .dispersion import (
 )
 from .errors import QuadratureFail, ResonantVelocity, RootCountMismatch
 from .params import ModelParams
-from .quadrature import (
-    KFAC,
-    build_contour,
-    build_panels,
-    pv_panel_integral,
-    tail_integral,
-)
+from .quadrature import KFAC, build_panels, pv_panel_integral, tail_integral
 
 # imaginary residue of analytically real sums beyond this means bad roots
 REALNESS_TOL = 1e-9
@@ -56,6 +50,9 @@ ADMISSIBLE_RANGE = 40.0
 ADMISSIBLE_SPACING = 0.05
 # quadrature self-check target at construction time
 QUAD_SELF_TOL = 1e-8
+# quadrature points per block of the one kernel integral; bounds its
+# (points x nodes) temporaries to a few MiB each
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -242,44 +239,42 @@ def kernel_q(xi, V: float, params: ModelParams,
 class KernelQuadrature:
     """Principal-value quadrature evaluator for q(xi) and U(xi).
 
-    Realizes the contour form of the profile integrals: a principal value
-    along the real axis plus half-residue corrections at the real roots,
-    with the oscillatory tail integrated analytically. Construction runs a
-    self-check of q against a refined panel grid and raises QuadratureFail
-    if the two disagree beyond tol.
+    Both are parts of one contour integral of e^{ik xi} / (k^p L(k)) over
+    (0, inf): q the real part at p = 0, U the imaginary part at p = 1 plus
+    sigma. The contour is a principal value along the real axis with
+    half-residue indentations at the real roots (alpha = 0) or arcs around
+    damped roots near the axis (alpha > 0), and its oscillatory tail is
+    integrated analytically. Construction checks q against a refined panel
+    grid and raises QuadratureFail if the two disagree beyond QUAD_SELF_TOL.
     """
 
     # contour arcs engage for damped poles closer to the axis than this
     POLE_BAND = 0.3
     ARC_RHO = 0.08
 
-    def __init__(self, V: float, params: ModelParams, tol: float = QUAD_SELF_TOL,
-                 self_check: bool = True):
+    def __init__(self, V: float, params: ModelParams):
         _require_nonresonant(V, params)
         self.V = V
         self.params = params
         K = KFAC * np.sqrt(params.mu + 4.0) / V
+        self._refine, self._arcs = (), ()
         if params.alpha == 0.0:
             self.rs = real_roots(V, params)
             self.lkv = eval_Lk(self.rs, V, params).real
-            self.cls = np.sign(self.rs * self.lkv)
             self._refine = self._plan_refine(V, params, K)
-            self._grids = [self._make_grid(K, 1.0, 0)]
         else:
             self.rs = np.array([])
             self.lkv = np.array([])
-            self.cls = np.array([])
             self._arcs = self._plan_arcs(V, params, K)
-            self._grids = [self._make_grid(K, 1.0, 0)]
-        if self_check:
-            self._grids.append(self._make_grid(K, 0.5, 8))
-            probe = np.array([0.0, 0.37, 1.0, -2.2])
-            base = self._q_core(probe, 0)
-            ref = self._q_core(probe, 1)
-            err = float(np.max(np.abs(base - ref)))
-            if err > tol:
-                raise QuadratureFail(
-                    f"panel quadrature self-check failed: {err:.2e} > {tol:.0e}")
+        self.cls = np.sign(self.rs * self.lkv)
+        self._grid = self._make_grid(K, 1.0, 0)
+        probe = np.array([0.0, 0.37, 1.0, -2.2])
+        fine = self._integral(probe, 0, self._make_grid(K, 0.5, 8))
+        err = (2.0 * params.mu / np.pi) * float(np.max(np.abs(
+            self._integral(probe, 0) - fine)))
+        if err > QUAD_SELF_TOL:
+            raise QuadratureFail(f"panel quadrature self-check failed: "
+                                 f"{err:.2e} > {QUAD_SELF_TOL:.0e}")
 
     @staticmethod
     def _plan_refine(V: float, params: ModelParams, K: float):
@@ -320,66 +315,52 @@ class KernelQuadrature:
         return tuple(sorted(arcs))
 
     def _make_grid(self, K: float, refine: float, extra_order: int):
-        width = 1.5 * refine
-        order = 24 + extra_order
-        if self.params.alpha == 0.0:
-            grid = build_panels(K, tuple(self.rs), width=width, order=order,
-                                refine=self._refine)
-            return grid, eval_L(grid.nodes, self.V, self.params).real
-        grid = build_contour(K, self._arcs, width=width, order=order)
-        return grid, (eval_L(grid.nodes_real, self.V, self.params),
-                      eval_L(grid.nodes_arc, self.V, self.params))
+        """The panel grid and L(k) at its nodes."""
+        grid = build_panels(K, tuple(self.rs), width=1.5 * refine,
+                            order=24 + extra_order, refine=self._refine,
+                            arcs=self._arcs)
+        L = eval_L(grid.nodes, self.V, self.params)
+        return grid, L.real if self.params.alpha == 0.0 else L
 
-    def _q_core(self, xi: np.ndarray, which: int) -> np.ndarray:
-        V, mu = self.V, self.params.mu
-        grid, Lnodes = self._grids[which]
-        if self.params.alpha == 0.0:
-            k = grid.nodes
-            f = np.cos(np.outer(xi, k)) / Lnodes[None, :]
-            c = np.cos(np.outer(xi, self.rs)) / self.lkv[None, :]
-            pv = pv_panel_integral(grid, f, self.rs, c)
-        else:
-            Lr, La = Lnodes
-            fr = (np.exp(1j * np.outer(xi, grid.nodes_real)) / Lr[None, :]).real
-            pv = fr @ grid.weights_real
-            if grid.nodes_arc.size:
-                fa = np.exp(1j * np.outer(xi, grid.nodes_arc)) / La[None, :]
-                pv = pv + (fa @ grid.weights_arc).real
-        tail = tail_integral(xi, V, self.params, grid.K, extra_p=0).real
-        out = (2.0 * mu / np.pi) * (pv + tail)
-        for r, cl, lk in zip(self.rs, self.cls, self.lkv):
-            out = out - 2.0 * mu * cl * np.sin(r * xi) / lk
+    def _integral(self, xi: np.ndarray, p: int, grid=None) -> np.ndarray:
+        """Part p of the contour integral of e^{ik xi} / (k^p L(k)) dk.
+
+        The real part for p = 0 and the imaginary part for p = 1. Undamped,
+        the panels carry only that part, cos or sin(k xi) / (k^p L), and the
+        real roots r enter as principal-value poles plus the half residues
+        i pi cls e^{ir xi} / (r^p L_k(r)). Points go in blocks of ROW_BLOCK.
+        grid is a (panels, L) pair from _make_grid, by default the kernel's.
+        """
+        part = (np.real, np.imag)[p]
+        grid, L = grid or self._grid
+        den = grid.nodes**p * L
+        res = self.rs**p * self.lkv
+        out = np.empty(xi.shape)
+        for lo in range(0, xi.size, ROW_BLOCK):
+            x = xi[lo:lo + ROW_BLOCK]
+            e = np.exp(1j * np.outer(x, self.rs))
+            if self.params.alpha == 0.0:
+                f = (np.cos, np.sin)[p](np.outer(x, grid.nodes))
+                f /= den
+                body = pv_panel_integral(grid, f, self.rs, part(e) / res)
+            else:
+                f = np.exp(1j * np.outer(x, grid.nodes))
+                f /= den
+                body = part(f @ grid.weights)
+            tail = tail_integral(x, self.V, self.params, grid.K, extra_p=p)
+            out[lo:lo + ROW_BLOCK] = body + part(
+                tail + (1j * np.pi) * (e @ (self.cls / res)))
         return out
 
     def q(self, xi) -> np.ndarray:
         """Kernel q(xi)."""
         xi = np.atleast_1d(np.asarray(xi, float))
-        return self._q_core(xi, 0)
+        return (2.0 * self.params.mu / np.pi) * self._integral(xi, 0)
 
     def U(self, xi, sigma: float) -> np.ndarray:
         """Profile U(xi) at applied stress sigma."""
         xi = np.atleast_1d(np.asarray(xi, float))
-        V, mu = self.V, self.params.mu
-        grid, Lnodes = self._grids[0]
-        if self.params.alpha == 0.0:
-            k = grid.nodes
-            f = np.sin(np.outer(xi, k)) / (k * Lnodes)[None, :]
-            c = np.sin(np.outer(xi, self.rs)) / (self.rs * self.lkv)[None, :]
-            pv = pv_panel_integral(grid, f, self.rs, c)
-        else:
-            Lr, La = Lnodes
-            fr = (np.exp(1j * np.outer(xi, grid.nodes_real))
-                  / (grid.nodes_real * Lr)[None, :]).imag
-            pv = fr @ grid.weights_real
-            if grid.nodes_arc.size:
-                fa = (np.exp(1j * np.outer(xi, grid.nodes_arc))
-                      / (grid.nodes_arc * La)[None, :])
-                pv = pv + (fa @ grid.weights_arc).imag
-        tail = tail_integral(xi, V, self.params, grid.K, extra_p=1).imag
-        out = sigma - (2.0 * mu / np.pi) * (pv + tail)
-        for r, cl, lk in zip(self.rs, self.cls, self.lkv):
-            out = out - 2.0 * mu * cl * np.cos(r * xi) / (r * lk)
-        return out
+        return sigma - (2.0 * self.params.mu / np.pi) * self._integral(xi, 1)
 
 
 @lru_cache(maxsize=64)

@@ -356,10 +356,6 @@ class RootSet:
         return np.array(sorted(r.k.real for r in self.roots
                                if r.branch is Branch.REAL_BEHIND and r.k.real > 0))
 
-    @cached_property
-    def real_all(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.real_ahead, self.real_behind]))
-
 
 def _complex_pair_arrays(V: float, params: ModelParams,
                          n_pairs: int) -> tuple[np.ndarray, np.ndarray]:

@@ -47,6 +47,8 @@ CHECK_RANGE = 40.0
 # singular-value gates for the null direction
 NULLSPACE_REL = 1e-6
 NULLSPACE_GAP = 1e-3
+# residue-route waves evaluate points this close to the plateau by quadrature
+NEAR_PLATEAU = 0.5
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,7 @@ class WaveSolution:
         (fast for large site grids, e.g. seeding a chain).
         """
         Sigma = sigma_AC(self.V, self.params, DEFAULT_N_PAIRS)
-        return self.sigma - Sigma + convolve(
-            xi, self.shape.atoms(), self.V, self.params, "U",
-            method or self._kernel, DEFAULT_N_PAIRS)
+        return self.sigma - Sigma + self._convolve(xi, "U", method)
 
     def derivative(self, xi, method: str | None = None) -> np.ndarray:
         """du/dxi; the kernel q is -dU/dxi, so this is -(h * q)(xi).
@@ -140,8 +140,23 @@ class WaveSolution:
         A traveling wave moves sites by du/dt = -V du/dxi, which seeds the
         velocity field of a chain simulation.
         """
-        return -convolve(xi, self.shape.atoms(), self.V, self.params, "q",
-                         method or self._kernel, DEFAULT_N_PAIRS)
+        return -self._convolve(xi, "q", method)
+
+    def _convolve(self, xi, kind: str, method: str | None) -> np.ndarray:
+        """convolve of the shape's atoms; on the residue route the points
+        within NEAR_PLATEAU of [-z, z] take the quadrature route, because
+        there the residue series of the slope converge slowly."""
+        xi = np.atleast_1d(np.asarray(xi, float))
+        method = method or self._kernel
+        quad = np.abs(xi) <= self.z + NEAR_PLATEAU if method == "residue" \
+            else np.zeros(xi.shape, bool)
+        out = np.zeros(xi.shape)
+        for route, rows in ((method, ~quad), ("quad", quad)):
+            if rows.any():
+                out[rows] = convolve(xi[rows], self.shape.atoms(), self.V,
+                                     self.params, kind, route,
+                                     DEFAULT_N_PAIRS)
+        return out
 
 
 def _mesh_and_weights(z: float, m: int) -> tuple[np.ndarray, np.ndarray]:

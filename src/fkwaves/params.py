@@ -35,7 +35,3 @@ class ModelParams:
         # normalize ints etc. so caching keys compare reliably
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    @property
-    def is_damped(self) -> bool:
-        return self.alpha > 0.0

@@ -1,14 +1,19 @@
 """Principal-value panel quadrature and analytic tails for profile integrals.
 
-All profile and kernel integrals in this package have the form
+All profile and kernel integrals in this package are parts of
 
-    integral_0^inf  g(k, xi) / (k^p L(k, V))  dk
+    integral_0^inf  e^{ik xi} / (k^p L(k, V))  dk,
 
-with g a sine/cosine or complex exponential. The integrand has simple poles
-at the positive real roots of L (principal value, alpha = 0 only) and decays
-like k^{-p-2}. The strategy is Gauss-Legendre panels on [0, K] with poles
-removed by subtraction, plus a closed-form tail for [K, inf) from expanding
-1/L in inverse powers and incomplete trigonometric integrals.
+whose integrand has simple poles at the positive real roots of L
+(alpha = 0) or damped roots close to the axis (alpha > 0) and decays like
+k^{-p-2}. One panel grid covers [0, K]: Gauss-Legendre panels with edges
+pinned to real poles, which are removed by subtraction (principal value),
+and optional semicircular arcs that detour around damped poles. The tail
+[K, inf) is closed-form: 1/L expands in terms e^{ijk} / k^p, and one pass
+integrates all of them, stacking every shift j into one call of
+exp_tail_integrals. There each point runs one continued fraction, at a
+pivot order from which the recurrence between orders is stable both
+downward and upward, and the recurrence fills the other orders.
 """
 
 from __future__ import annotations
@@ -34,7 +39,13 @@ TAIL_TARGET = 1e-10
 
 @dataclass(frozen=True)
 class PanelGrid:
-    """Gauss-Legendre nodes and weights covering [0, K]."""
+    """Gauss-Legendre nodes and weights along a path from 0 to K.
+
+    Without arcs the path is the real segment [0, K] and nodes and weights
+    are real. Each arc replaces a short real segment by a semicircle in the
+    complex plane; nodes and weights are then complex, with arc weights
+    i rho e^{i theta} d theta.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -49,8 +60,9 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 def build_panels(K: float, poles: tuple[float, ...] = (),
                  width: float = PANEL_WIDTH,
                  order: int = GAUSS_ORDER,
-                 refine: tuple[tuple[float, float], ...] = ()) -> PanelGrid:
-    """Panels on [0, K] with edges pinned to the poles.
+                 refine: tuple[tuple[float, float], ...] = (),
+                 arcs: tuple[tuple[float, float, int], ...] = ()) -> PanelGrid:
+    """Panels from 0 to K with edges pinned to the poles.
 
     Each pole becomes a panel edge (Gauss nodes are interior, so no node can
     collide with it) and gets geometrically shrinking neighbor panels, which
@@ -58,6 +70,9 @@ def build_panels(K: float, poles: tuple[float, ...] = (),
     refine entries (center, scale) add edges at center +- scale * powers of
     two without any pole subtraction; they resolve sharp but smooth peaks,
     e.g. a complex pole pair pinching the axis just past a resonance.
+    arcs entries (center, rho, side) replace the segment
+    (center - rho, center + rho) by a semicircle that bulges up for side +1
+    (passing above a pole below the axis) and down for side -1.
     """
     edges = set(np.linspace(0.0, K, int(np.ceil(K / width)) + 1).tolist())
     ps = sorted(poles)
@@ -77,70 +92,28 @@ def build_panels(K: float, poles: tuple[float, ...] = (),
         for f in (0.5, 1.0, 2.0, 4.0, 8.0):
             edges.add(xc - scale * f)
             edges.add(xc + scale * f)
-    es = np.array(sorted(e for e in edges if 0.0 <= e <= K))
-    es = es[np.concatenate([[True], np.diff(es) > 1e-9])]
-    x, w = _gauss_rule(order)
-    a, b = es[:-1], es[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = (half[:, None] * x[None, :] + mid[:, None]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return PanelGrid(nodes=nodes, weights=weights, K=float(es[-1]))
-
-
-@dataclass(frozen=True)
-class ContourGrid:
-    """Panels along [0, K] indented by semicircular arcs around near-axis poles.
-
-    Real-axis segments carry real nodes; each arc contributes complex nodes
-    with complex weights i rho e^{i theta} d theta. Taking Re or Im of an
-    integrand commutes with integration segment by segment, so splitting the
-    contour this way lets callers integrate only the convergent part near
-    k = 0 while still detouring around poles.
-    """
-
-    nodes_real: np.ndarray
-    weights_real: np.ndarray
-    nodes_arc: np.ndarray
-    weights_arc: np.ndarray
-    K: float
-
-
-def build_contour(K: float, arcs: tuple[tuple[float, float, int], ...],
-                  width: float = PANEL_WIDTH,
-                  order: int = GAUSS_ORDER) -> ContourGrid:
-    """Contour from 0 to K with arcs (center, rho, side); side +1 bulges up.
-
-    An arc replaces the real segment (center-rho, center+rho); use side +1
-    to pass above a pole below the axis and side -1 to pass below one above.
-    """
-    edges = set(np.linspace(0.0, K, int(np.ceil(K / width)) + 1).tolist())
     for xc, rho, _ in arcs:
         edges.add(xc - rho)
         edges.add(xc + rho)
     es = np.array(sorted(e for e in edges if 0.0 <= e <= K))
     es = es[np.concatenate([[True], np.diff(es) > 1e-9])]
     x, w = _gauss_rule(order)
-    keep = np.ones(len(es) - 1, bool)
-    mids_all = 0.5 * (es[:-1] + es[1:])
+    a, b = es[:-1], es[1:]
+    keep = np.ones(a.size, bool)
     for xc, rho, _ in arcs:
-        keep &= np.abs(mids_all - xc) > rho - 1e-12
-    a, b = es[:-1][keep], es[1:][keep]
+        keep &= np.abs(0.5 * (a + b) - xc) > rho - 1e-12
+    a, b = a[keep], b[keep]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    nodes_r = (half[:, None] * x[None, :] + mid[:, None]).ravel()
-    weights_r = (half[:, None] * w[None, :]).ravel()
-    arc_nodes, arc_weights = [], []
+    nodes = [(half[:, None] * x[None, :] + mid[:, None]).ravel()]
+    weights = [(half[:, None] * w[None, :]).ravel()]
     for xc, rho, side in arcs:
         t0, t1 = (np.pi, 0.0) if side > 0 else (np.pi, 2.0 * np.pi)
-        th = 0.5 * (t1 - t0) * x + 0.5 * (t0 + t1)
-        wt = 0.5 * (t1 - t0) * w
-        arc_nodes.append(xc + rho * np.exp(1j * th))
-        arc_weights.append(1j * rho * np.exp(1j * th) * wt)
-    na = np.concatenate(arc_nodes) if arcs else np.array([], complex)
-    wa = np.concatenate(arc_weights) if arcs else np.array([], complex)
-    return ContourGrid(nodes_real=nodes_r, weights_real=weights_r,
-                       nodes_arc=na, weights_arc=wa, K=float(es[-1]))
+        e = np.exp(1j * (0.5 * (t1 - t0) * x + 0.5 * (t0 + t1)))
+        nodes.append(xc + rho * e)
+        weights.append(1j * rho * e * (0.5 * (t1 - t0) * w))
+    return PanelGrid(nodes=np.concatenate(nodes),
+                     weights=np.concatenate(weights), K=float(es[-1]))
 
 
 def pv_panel_integral(grid: PanelGrid, f_nodes: np.ndarray,
@@ -193,15 +166,16 @@ CF_EPS = 1e-15
 CF_MAX_ITER = 500
 
 
-def _expint_cf(p: int, z: np.ndarray) -> np.ndarray:
-    """E_p(z) = integral_1^inf e^{-zt} t^{-p} dt by modified Lentz.
+def _expint_cf(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """E_p(z) = integral_1^inf e^{-zt} t^{-p} dt by modified Lentz, per point.
 
     Valid for |arg z| < pi; here z = -i|a|K sits on the imaginary axis,
     where the fraction still converges (slower as |z| drops, hence the
     CF_SPLIT floor on |z|).
     """
     tiny = 1e-300
-    b = z + float(p)
+    p = p.astype(float)
+    b = z + p
     c = np.full(z.shape, 1.0 / tiny, dtype=complex)
     d = 1.0 / b
     h = d.copy()
@@ -223,16 +197,34 @@ def _expint_cf(p: int, z: np.ndarray) -> np.ndarray:
     return np.exp(-z) * h
 
 
+def _expint_orders(z: np.ndarray, p_max: int) -> np.ndarray:
+    """E_p(z) for p = 0 .. p_max (row 0 unused) from one fraction per point.
+
+    The fraction runs at the pivot order p* = clip(floor(|z|), 1, p_max),
+    and p E_{p+1} = e^{-z} - z E_p fills the other orders: downward below
+    p*, where p < |z| damps errors, and upward above it, where |z| < p does.
+    """
+    piv = np.clip(np.floor(np.abs(z)), 1, p_max).astype(int)
+    E = np.zeros((p_max + 1, z.size), dtype=complex)
+    E[piv, np.arange(z.size)] = _expint_cf(piv, z)
+    ez = np.exp(-z)
+    for p in range(p_max - 1, 0, -1):
+        E[p] = np.where(p < piv, (ez - p * E[p + 1]) / z, E[p])
+    for p in range(1, p_max):
+        E[p + 1] = np.where(p >= piv, (ez - z * E[p]) / p, E[p + 1])
+    return E
+
+
 def exp_tail_integrals(a, p_max: int, K: float) -> np.ndarray:
     """T[p] = integral_K^inf e^{iak} k^{-p} dk for p = 1 .. p_max.
 
     For |a| K <= CF_SPLIT, T[1] comes from the sine and cosine integrals and
     higher p follow from integrating by parts:
-    T[p] = e^{iaK} K^{1-p}/(p-1) + ia/(p-1) T[p-1]. For larger |a| K each
-    order is K^{1-p} E_p(-i|a|K) by continued fraction, keeping every T[p]
-    accurate relative to its own magnitude. a = 0 is allowed only for
-    p >= 2 (T[p] = K^{1-p}/(p-1)). Vectorized: scalar a gives shape
-    (p_max+1,), an array gives (p_max+1, len(a)).
+    T[p] = e^{iaK} K^{1-p}/(p-1) + ia/(p-1) T[p-1]. For larger |a| K,
+    T[p] = K^{1-p} E_p(-i|a|K), every order from one continued fraction per
+    point (_expint_orders), accurate relative to its own magnitude. a = 0 is
+    allowed only for p >= 2 (T[p] = K^{1-p}/(p-1)). Vectorized: scalar a
+    gives shape (p_max+1,), an array gives (p_max+1, len(a)).
     """
     arr = np.atleast_1d(np.asarray(a, dtype=float))
     T = np.zeros((p_max + 1, arr.size), dtype=complex)
@@ -255,9 +247,9 @@ def exp_tail_integrals(a, p_max: int, K: float) -> np.ndarray:
             T[p, rec] = prev
     cf = av * K > CF_SPLIT
     if cf.any():
-        z = -1j * (av[cf] * K)
-        for p in range(1, p_max + 1):
-            T[p, cf] = K ** (1 - p) * _expint_cf(p, z)
+        scale = K ** (1.0 - np.arange(p_max + 1))
+        T[1:, cf] = (scale[:, None] * _expint_orders(-1j * (av[cf] * K),
+                                                     p_max))[1:]
     neg = arr < 0.0
     if neg.any():
         T[:, neg] = np.conj(T[:, neg])
@@ -266,31 +258,28 @@ def exp_tail_integrals(a, p_max: int, K: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _inv_L_series(mu: float, alpha: float, V: float,
-                  n_terms: int) -> tuple[tuple[tuple[int, int], complex], ...]:
+                  n_terms: int) -> np.ndarray:
     """Expansion sum_m w^m of 1/(1 - w) where 1/L = -w-series / (V^2 k^2).
 
-    Entries ((j, p), c) stand for c * e^{ijk} / k^p. The generator is
-    w = (mu + 2 - 2 cos k)/(V^2 k^2) - i alpha/(V k).
+    Entry C[n + j, p] of the (2n+1) x (2n+1) table, n = n_terms - 1, is the
+    coefficient of e^{ijk} / k^p. The generator is
+    w = (mu + 2 - 2 cos k)/(V^2 k^2) - i alpha/(V k). Shifts |j| <= n and
+    orders p <= 2n hold every power up to w^n, so rolling the table by one
+    factor of w never wraps a nonzero entry.
     """
-    w: dict[tuple[int, int], complex] = {
-        (0, 2): (mu + 2.0) / V**2,
-        (1, 2): -1.0 / V**2,
-        (-1, 2): -1.0 / V**2,
-    }
+    w = {(0, 2): (mu + 2.0) / V**2, (1, 2): -1.0 / V**2,
+         (-1, 2): -1.0 / V**2}
     if alpha != 0.0:
         w[(0, 1)] = -1j * alpha / V
-    total: dict[tuple[int, int], complex] = {(0, 0): 1.0}
-    cur: dict[tuple[int, int], complex] = {(0, 0): 1.0}
-    for _ in range(1, n_terms):
-        nxt: dict[tuple[int, int], complex] = {}
-        for (j1, p1), c1 in cur.items():
-            for (j2, p2), c2 in w.items():
-                key = (j1 + j2, p1 + p2)
-                nxt[key] = nxt.get(key, 0.0) + c1 * c2
-        for key, c in nxt.items():
-            total[key] = total.get(key, 0.0) + c
-        cur = nxt
-    return tuple(sorted(total.items()))
+    n = n_terms - 1
+    cur = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    cur[n, 0] = 1.0
+    total = cur.copy()
+    for _ in range(n):
+        cur = sum(c * np.roll(cur, jp, axis=(0, 1)) for jp, c in w.items())
+        total += cur
+    total.setflags(write=False)
+    return total
 
 
 def tail_terms_needed(V: float, params: ModelParams, K: float) -> int:
@@ -305,22 +294,21 @@ def tail_terms_needed(V: float, params: ModelParams, K: float) -> int:
 
 
 def tail_integral(xis: np.ndarray, V: float, params: ModelParams, K: float,
-                  extra_p: int, n_terms: int | None = None) -> np.ndarray:
-    """integral_K^inf e^{ik xi} / (k^extra_p L(k, V)) dk for each xi."""
-    if n_terms is None:
-        n_terms = tail_terms_needed(V, params, K)
-    series = _inv_L_series(params.mu, params.alpha, V, n_terms)
-    p_max = max(p for (_, p), _ in series) + 2 + extra_p
+                  extra_p: int) -> np.ndarray:
+    """integral_K^inf e^{ik xi} / (k^extra_p L(k, V)) dk for each xi.
+
+    Each term C[j, p] e^{ijk} / k^(p + 2 + extra_p) of the 1/L series
+    integrates to C[j, p] T[p + 2 + extra_p](xi + j), and one call of
+    exp_tail_integrals covers all shifts j at once.
+    """
+    C = _inv_L_series(params.mu, params.alpha, V,
+                      tail_terms_needed(V, params, K))
+    n = C.shape[0] // 2
     xis = np.atleast_1d(np.asarray(xis, float))
-    out = np.zeros(xis.shape, dtype=complex)
-    by_shift: dict[int, list[tuple[int, complex]]] = {}
-    for (j, p), c in series:
-        by_shift.setdefault(j, []).append((p, c))
-    for j, terms in by_shift.items():
-        T = exp_tail_integrals(xis + j, p_max, K)
-        for p, c in terms:
-            out = out + c * T[p + 2 + extra_p]
-    out = -out / V**2
+    shifted = xis[None, :] + np.arange(-n, n + 1)[:, None]
+    T = exp_tail_integrals(shifted.ravel(), C.shape[1] + 1 + extra_p, K)
+    T = T[2 + extra_p:].reshape(C.shape[1], *shifted.shape)
+    out = -np.einsum("jp,pjx->x", C, T) / V**2
     if not np.all(np.isfinite(out)):
         raise QuadratureFail("tail series produced non-finite values")
     return out

@@ -1,5 +1,7 @@
 """Plateau waves: Fredholm discretization, z location, assembly, kinetics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from fkwaves import (
     NotConverged,
     ResonantVelocity,
     U_integral,
+    assemble_wave,
     build_Q,
     find_z,
     kinetic_curve,
@@ -28,6 +31,8 @@ Z_V025_M40 = 0.13960252013596347
 FIRST_RESONANCE_V = 0.24441475248391872
 # residue convolution of a whole measure against the sum over its atoms
 CONVOLVE_TOL = 1e-11
+# quadrature-route assembly of the V = 0.2 wave evaluates 43 x 100 lags
+ASSEMBLE_PEAK_BYTES = 64 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,24 @@ class TestWaveSolution:
         h = 1e-5
         fd = (wave_v02.evaluate(xs + h) - wave_v02.evaluate(xs - h)) / (2 * h)
         assert np.abs(wave_v02.derivative(xs) - fd).max() < 1e-6
+
+    def test_residue_slope_near_plateau(self, wave_v02):
+        # the residue series of the slope converge slowly beside the
+        # plateau; there the residue route must match the quadrature route
+        d = wave_v02.z + np.array([0.05, 0.1, 0.3])
+        xs = np.concatenate([d, -d])
+        a = wave_v02.derivative(xs, method="residue")
+        b = wave_v02.derivative(xs, method="quad")
+        assert np.abs(a - b).max() <= 1e-8
+
+    def test_assemble_memory_bounded(self, wave_v02, params):
+        tracemalloc.start()
+        try:
+            assemble_wave(wave_v02.shape, 0.2, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ASSEMBLE_PEAK_BYTES
 
     def test_zero_plateau_reduces_to_classical(self, wave_v05, params):
         # above threshold the pipeline returns the classical wave exactly

@@ -23,7 +23,8 @@ from fkwaves.quadrature import (
 PV_TOL = 1e-9
 TAIL_TOL = 1e-7
 
-P1 = ModelParams(mu=1.0, alpha=0.0)
+# the highest order tail_integral asks for: 24 series terms, extra_p = 1
+P_MAX = 49
 
 
 class TestPanels:
@@ -42,6 +43,16 @@ class TestPanels:
         vals = np.cos(grid.nodes)[None, :]
         assert panel_integral(grid, vals)[0] == pytest.approx(
             np.sin(25.0), abs=1e-11)
+
+    def test_arcs_detour_and_keep_integrals(self):
+        # side +1 bulges up, -1 down; by Cauchy an arc changes nothing for
+        # an entire integrand
+        grid = build_panels(25.0, arcs=((6.0, 0.08, 1), (9.3, 0.05, -1)))
+        arc = grid.nodes[grid.nodes.imag != 0.0]
+        assert arc.size == 48
+        assert np.all((arc.imag > 0.0) == (np.abs(arc - 6.0) < 0.081))
+        got = panel_integral(grid, np.exp(1j * grid.nodes)[None, :])[0]
+        assert got == pytest.approx((np.exp(25j) - 1.0) / 1j, abs=1e-12)
 
     def test_refine_concentrates_nodes(self):
         base = build_panels(30.0)
@@ -83,7 +94,9 @@ class TestPrincipalValue:
 
 
 class TestExpTails:
-    @pytest.mark.parametrize("a", [0.7, -1.3])
+    # |a| K > 18 (a = 2.5 at K = 12 here, and the last three cases of the
+    # quad test) takes the continued-fraction branch
+    @pytest.mark.parametrize("a", [0.7, -1.3, 2.5])
     def test_p1_against_exponential_integral(self, a):
         # integral_K^inf e^{iak}/k dk = E1(-iaK) for a > 0, conjugate else
         K = 12.0
@@ -93,16 +106,29 @@ class TestExpTails:
             want = np.conj(want)
         assert_allclose(T[1], want, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("a,p", [(0.7, 2), (0.7, 4), (-1.3, 3)])
-    def test_higher_p_against_oscillatory_quad(self, a, p):
-        K = 12.0
+    @pytest.mark.parametrize("K,a,p", [
+        pytest.param(12.0, 0.7, 2, id="0.7-2"),
+        pytest.param(12.0, 0.7, 4, id="0.7-4"),
+        pytest.param(12.0, -1.3, 3, id="-1.3-3"),
+        # continued fraction at order floor(|a| K) = 20, 24, 21, recurrence
+        # down to p = 13 and 20, up to p = 30
+        (2.0, 10.0, 13), (2.0, -12.0, 30), (3.0, -7.0, 20)])
+    def test_higher_p_against_oscillatory_quad(self, K, a, p):
+        # the continued-fraction branch is held to its relative accuracy
+        cf = abs(a) * K > 18.0
+        opts = dict(epsabs=0.0, epsrel=1e-13) if cf else {}
         B = K + 400 * np.pi / abs(a)
-        re = quad(lambda k: k**-p, K, B, weight="cos", wvar=a, limit=2000)[0]
-        im = quad(lambda k: k**-p, K, B, weight="sin", wvar=a, limit=2000)[0]
+        re = quad(lambda k: k**-p, K, B, weight="cos", wvar=a, limit=2000,
+                  **opts)[0]
+        im = quad(lambda k: k**-p, K, B, weight="sin", wvar=a, limit=2000,
+                  **opts)[0]
         # leading remainder of the truncated upper limit, by parts
         rem = -np.exp(1j * a * B) * B**-p / (1j * a)
-        got = exp_tail_integrals(a, p, K)[p]
-        assert_allclose(got, re + 1j * im + rem, atol=1e-9)
+        got = exp_tail_integrals(a, P_MAX, K)[p]
+        if cf:
+            assert_allclose(got, re + 1j * im + rem, rtol=1e-12)
+        else:
+            assert_allclose(got, re + 1j * im + rem, atol=1e-9)
 
     def test_zero_frequency_closed_form(self):
         K = 9.0
@@ -112,13 +138,18 @@ class TestExpTails:
 
 
 class TestDispersionTail:
-    @pytest.mark.parametrize("xi,extra_p", [(0.3, 0), (-0.7, 0), (1.1, 1)])
-    def test_against_oscillatory_quad(self, xi, extra_p):
+    @pytest.mark.parametrize("xi,extra_p,alpha", [
+        pytest.param(0.3, 0, 0.0, id="0.3-0"),
+        pytest.param(-0.7, 0, 0.0, id="-0.7-0"),
+        pytest.param(1.1, 1, 0.0, id="1.1-1"),
+        (0.9, 1, 0.1)])
+    def test_against_oscillatory_quad(self, xi, extra_p, alpha):
         V, K = 0.5, 60.0
-        got = tail_integral(np.array([xi]), V, P1, K, extra_p)[0]
+        params = ModelParams(mu=1.0, alpha=alpha)
+        got = tail_integral(np.array([xi]), V, params, K, extra_p)[0]
 
         def f(k):
-            return 1.0 / (k**extra_p * np.real(eval_L(np.array([k]), V, P1))[0])
+            return 1.0 / (k**extra_p * eval_L(np.array([k]), V, params)[0])
 
         # composite Gauss over whole periods plus the by-parts remainder
         x, w = np.polynomial.legendre.leggauss(40)
@@ -128,7 +159,7 @@ class TestDispersionTail:
         for a, b in zip(edges[:-1], edges[1:]):
             half, mid = 0.5 * (b - a), 0.5 * (a + b)
             kk = half * x + mid
-            fv = 1.0 / (kk**extra_p * np.real(eval_L(kk, V, P1)))
+            fv = 1.0 / (kk**extra_p * eval_L(kk, V, params))
             total += half * np.sum(w * fv * np.exp(1j * xi * kk))
         total += -np.exp(1j * xi * edges[-1]) * f(edges[-1]) / (1j * xi)
         assert_allclose(got, total, atol=TAIL_TOL)
