@@ -2,6 +2,8 @@
 quadratic substrate: semi-analytic wave construction, kinetic relations,
 and direct lattice simulation."""
 
+from types import ModuleType as _ModuleType
+
 from .params import ModelParams
 from .errors import (
     FKWavesError,
@@ -27,7 +29,6 @@ from .dispersion import (
     eval_L,
     eval_Lk,
     real_roots,
-    complex_roots,
     root_set,
     is_resonant,
     classify_real_root,
@@ -86,76 +87,7 @@ from ._backend import BACKEND, PURE_ENV_VAR
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelParams",
-    "FKWavesError",
-    "ResonantVelocity",
-    "RootCountMismatch",
-    "NotConverged",
-    "QuadratureFail",
-    "NoCandidate",
-    "NullspaceNotRankOne",
-    "NoAdmissibleWave",
-    "ProfileRange",
-    "NumericBlowup",
-    "NoFront",
-    "Inconclusive",
-    "RegimeMismatch",
-    "NoSignChange",
-    "NoPositiveRoot",
-    "TruncationWarning",
-    "Branch",
-    "RootSet",
-    "eval_L",
-    "eval_Lk",
-    "real_roots",
-    "complex_roots",
-    "root_set",
-    "is_resonant",
-    "classify_real_root",
-    "resonance_velocities",
-    "ACSolution",
-    "KernelQuadrature",
-    "sigma_AC",
-    "U_profile",
-    "kernel_q",
-    "U_integral",
-    "q_integral",
-    "quad_kernel",
-    "ac_admissible",
-    "ac_solution",
-    "KernelJet",
-    "kernel_jet",
-    "threshold_V0",
-    "z_linear",
-    "z_quartic",
-    "shape_linear",
-    "shape_quadratic",
-    "ShapeFunction",
-    "KineticPoint",
-    "WaveSolution",
-    "build_Q",
-    "find_z",
-    "solve_shape",
-    "assemble_wave",
-    "check_generalized",
-    "kinetic_point",
-    "kinetic_wave",
-    "kinetic_curve",
-    "ChainState",
-    "SimOutcome",
-    "SweepResult",
-    "phi",
-    "phi_prime",
-    "peierls_stress",
-    "energy",
-    "init_riemann",
-    "init_from_wave",
-    "front_position",
-    "step",
-    "run_and_classify",
-    "sweep_dynamic_threshold",
-    "BACKEND",
-    "PURE_ENV_VAR",
-    "__version__",
-]
+# every public name imported above, submodules excluded
+__all__ = [_name for _name, _obj in list(globals().items())
+           if not _name.startswith("_") and not isinstance(_obj, _ModuleType)]
+__all__.append("__version__")

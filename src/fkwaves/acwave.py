@@ -32,12 +32,12 @@ import numpy as np
 from .dispersion import (
     eval_L,
     eval_Lk,
-    is_resonant,
     real_roots,
+    require_nonresonant,
     root_set,
     DEFAULT_N_PAIRS,
 )
-from .errors import QuadratureFail, ResonantVelocity, RootCountMismatch
+from .errors import QuadratureFail, RootCountMismatch
 from .params import ModelParams
 from .quadrature import KFAC, build_panels, pv_panel_integral, tail_integral
 
@@ -48,6 +48,8 @@ TRUNCATION_TOL = 1e-4
 # admissibility sampling
 ADMISSIBLE_RANGE = 40.0
 ADMISSIBLE_SPACING = 0.05
+# the admissibility ladder starts this close to the front
+ADMISSIBLE_TOL = 1e-6
 # quadrature self-check target at construction time
 QUAD_SELF_TOL = 1e-8
 # quadrature points per block of the one kernel integral; bounds its
@@ -65,11 +67,6 @@ class ACSolution:
     admissible: bool
     u_plus: float   # equilibrium ahead, sigma - 1
     u_minus: float  # equilibrium behind, sigma + 1
-
-
-def _require_nonresonant(V: float, params: ModelParams) -> None:
-    if is_resonant(V, params):
-        raise ResonantVelocity(f"V={V} is within tolerance of a resonance")
 
 
 def _real_checked(values: np.ndarray, what: str):
@@ -91,7 +88,7 @@ def sigma_AC(V: float, params: ModelParams,
     1/(k L_k) over the upper/lower half-plane roots. The recipes agree in
     the alpha -> 0 limit.
     """
-    _require_nonresonant(V, params)
+    require_nonresonant(V, params)
     if params.alpha == 0.0:
         rs = real_roots(V, params)
         return 2.0 * params.mu * float(np.sum(
@@ -174,7 +171,7 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
         return vals.reshape(len(xi), len(s)) @ a
     if method != "residue":
         raise ValueError(f"unknown kernel method {method!r}")
-    _require_nonresonant(V, params)
+    require_nonresonant(V, params)
     kp, lkp, km, lkm = _branch_terms(V, params, n_pairs)
     mu2 = 2.0 * params.mu
     if kind == "U":
@@ -253,20 +250,19 @@ class KernelQuadrature:
     ARC_RHO = 0.08
 
     def __init__(self, V: float, params: ModelParams):
-        _require_nonresonant(V, params)
+        require_nonresonant(V, params)
         self.V = V
         self.params = params
         K = KFAC * np.sqrt(params.mu + 4.0) / V
+        roots = root_set(V, params, 60)
+        self.rs = np.sort(np.concatenate([roots.real_ahead, roots.real_behind]))
+        self.lkv = eval_Lk(self.rs, V, params).real
+        self.cls = np.sign(self.rs * self.lkv)
         self._refine, self._arcs = (), ()
         if params.alpha == 0.0:
-            self.rs = real_roots(V, params)
-            self.lkv = eval_Lk(self.rs, V, params).real
-            self._refine = self._plan_refine(V, params, K)
+            self._refine = self._plan_refine(roots, K)
         else:
-            self.rs = np.array([])
-            self.lkv = np.array([])
-            self._arcs = self._plan_arcs(V, params, K)
-        self.cls = np.sign(self.rs * self.lkv)
+            self._arcs = self._plan_arcs(roots, K)
         self._grid = self._make_grid(K, 1.0, 0)
         probe = np.array([0.0, 0.37, 1.0, -2.2])
         fine = self._integral(probe, 0, self._make_grid(K, 0.5, 8))
@@ -277,14 +273,13 @@ class KernelQuadrature:
                                  f"{err:.2e} > {QUAD_SELF_TOL:.0e}")
 
     @staticmethod
-    def _plan_refine(V: float, params: ModelParams, K: float):
+    def _plan_refine(roots, K: float):
         """Extra panel edges under complex pairs that pinch the real axis.
 
         Just past a resonance a conjugate pair sits at distance |Im k| << 1
         from the contour; the integrand stays smooth on the axis but peaks
         with that width, so panels are shrunk to match it.
         """
-        roots = root_set(V, params, 60)
         found: dict[float, float] = {}
         for k in roots.upper:
             if abs(k.imag) < KernelQuadrature.POLE_BAND and 0.0 < k.real < K:
@@ -294,9 +289,8 @@ class KernelQuadrature:
         return tuple(sorted(found.items()))
 
     @staticmethod
-    def _plan_arcs(V: float, params: ModelParams, K: float):
+    def _plan_arcs(roots, K: float):
         """Indentation arcs around damped roots that hug the real axis."""
-        roots = root_set(V, params, 60)
         near = [k for k in np.concatenate([roots.upper, roots.lower])
                 if abs(k.imag) < KernelQuadrature.POLE_BAND
                 and 0.3 < k.real < K - 1.0]
@@ -389,25 +383,24 @@ def q_integral(xi, V: float, params: ModelParams):
 
 
 def ac_admissible(V: float, params: ModelParams,
-                  span: float = ADMISSIBLE_RANGE, tol: float = 1e-6,
                   n_pairs: int = DEFAULT_N_PAIRS) -> bool:
     """Sign check of the classical wave: U > 0 for xi < 0, U < 0 for xi > 0.
 
-    Samples at spacing <= 0.05 on +-(0, span], excluding |xi| < tol. Just
+    Samples at spacing ADMISSIBLE_SPACING on +-(0, ADMISSIBLE_RANGE]. Just
     below the threshold velocity the violation is a bump of height ~ q(0)^2
     squeezed against xi = 0, so the uniform grid is augmented with a
-    geometric ladder from tol up to the first grid point, evaluated by
-    quadrature (the residue sums are too noisy at that amplitude).
+    geometric ladder from ADMISSIBLE_TOL up to the first grid point,
+    evaluated by quadrature (the residue sums are too noisy at that
+    amplitude).
     """
-    n = int(np.ceil(span / ADMISSIBLE_SPACING))
-    xs = np.linspace(ADMISSIBLE_SPACING, span, n)
-    xs = xs[xs >= tol]
+    n = int(np.ceil(ADMISSIBLE_RANGE / ADMISSIBLE_SPACING))
+    xs = np.linspace(ADMISSIBLE_SPACING, ADMISSIBLE_RANGE, n)
     right = U_profile(xs, V, params, n_pairs)
     left = U_profile(-xs, V, params, n_pairs)
     if np.any(right >= 0.0) or np.any(left <= 0.0):
         return False
     ladder = []
-    x = tol
+    x = ADMISSIBLE_TOL
     while x < ADMISSIBLE_SPACING:
         ladder.append(x)
         x *= 2.0

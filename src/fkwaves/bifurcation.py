@@ -22,15 +22,10 @@ from .dispersion import (
     eval_Lk,
     is_resonant,
     real_roots,
+    require_nonresonant,
     resonance_velocities,
 )
-from .errors import (
-    NoPositiveRoot,
-    NoSignChange,
-    NotConverged,
-    RegimeMismatch,
-    ResonantVelocity,
-)
+from .errors import NoPositiveRoot, NoSignChange, NotConverged, RegimeMismatch
 from .newwave import ShapeFunction
 from .params import ModelParams
 
@@ -38,6 +33,8 @@ from .params import ModelParams
 V0_TOL = 1e-5
 # scan resolution used to bracket the q(0) sign change
 V0_SCAN_POINTS = 60
+# upper end of that scan
+V0_SCAN_MAX = 1.2
 # margin kept between scan endpoints and a resonance
 RESONANCE_MARGIN = 2e-3
 # acceptable imaginary part when polishing quartic roots
@@ -77,8 +74,7 @@ def kernel_jet(V: float, params: ModelParams,
     resonance only, RegimeMismatch below); "fd" estimates the one-sided
     slopes by polynomial extrapolation as an independent cross-check.
     """
-    if is_resonant(V, params):
-        raise ResonantVelocity(f"V={V} is within tolerance of a resonance")
+    require_nonresonant(V, params)
     if method == "identity":
         return _jet_identity(V, params, n_pairs)
     if method == "closed":
@@ -153,8 +149,7 @@ def _q0_of_V(V: float, params: ModelParams) -> float:
     return float(quad_kernel(V, params).q(np.zeros(1))[0])
 
 
-def threshold_V0(params: ModelParams, tol: float = V0_TOL,
-                 V_max: float = 1.2) -> float:
+def threshold_V0(params: ModelParams, tol: float = V0_TOL) -> float:
     """Bifurcation velocity: the zero of q(0) along the classical branch.
 
     Scans velocities above the first resonance (for alpha = 0; from low V
@@ -171,7 +166,7 @@ def threshold_V0(params: ModelParams, tol: float = V0_TOL,
         lo = V1 + RESONANCE_MARGIN
     else:
         lo = 0.05
-    vs = np.linspace(lo, V_max, V0_SCAN_POINTS)
+    vs = np.linspace(lo, V0_SCAN_MAX, V0_SCAN_POINTS)
     vals, kept = [], []
     for v in vs:
         if is_resonant(v, params):
@@ -183,7 +178,7 @@ def threshold_V0(params: ModelParams, tol: float = V0_TOL,
     flips = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
     if len(flips) == 0:
         raise NoSignChange(
-            f"q(0) does not change sign on [{lo:.4f}, {V_max}] "
+            f"q(0) does not change sign on [{lo:.4f}, {V0_SCAN_MAX}] "
             f"(mu={params.mu}, alpha={params.alpha})")
     i = flips[-1]
     a, b = kept[i], kept[i + 1]

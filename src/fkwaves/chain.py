@@ -166,8 +166,8 @@ def step(state: ChainState, dt: float, n_steps: int = 1) -> ChainState:
     return state
 
 
-def run_and_classify(state: ChainState, T: float, dt: float = 0.01,
-                     record_dt: float = RECORD_DT) -> SimOutcome:
+def run_and_classify(state: ChainState, T: float,
+                     dt: float = 0.01) -> SimOutcome:
     """Integrate to time T tracking the front, then classify the motion.
 
     Steady: the least-squares slope of the trailing quarter of the front
@@ -178,7 +178,7 @@ def run_and_classify(state: ChainState, T: float, dt: float = 0.01,
     enough record the truncated trajectory is classified normally, since a
     front that marches off the end is the Steady outcome showing itself.
     """
-    sub = max(1, int(round(record_dt / dt)))
+    sub = max(1, int(round(RECORD_DT / dt)))
     n_rec = int(np.floor(T / (sub * dt)))
     times = [state.t]
     fronts = [front_position(state.u)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,31 +30,27 @@ REAL_SCAN_POINTS = 2048
 REAL_ROOT_TOL = 1e-12
 COMPLEX_ROOT_TOL = 1e-10
 NEWTON_STEP_TOL = 1e-13
+NEWTON_ITERS = 60
 # |dL/dk| <= RES_GUARD * (1 + |k|) at a real root means "numerically resonant"
 RES_GUARD = 1e-6
-# roots closer than this are considered duplicates
+# is_resonant: V within about this distance of a resonance velocity
+RESONANCE_TOL = 1e-5
+# roots closer than this (relative) are considered duplicates
 DEDUPE_RADIUS = 1e-8
 # default number of complex roots kept per half plane
 DEFAULT_N_PAIRS = 400
 # off-axis band: for alpha = 0 complex roots cannot sit closer to the real
 # axis than this outside the resonance exclusion zone
 AXIS_OFFSET = 5e-5
+# boundary refinement rounds of the winding count
+WINDING_ROUNDS = 40
 
 
 class Branch(Enum):
-    """Where a dispersion root contributes to the wave profile."""
+    """Radiation side of a real phonon root."""
 
     REAL_AHEAD = "real_ahead"    # phonon radiated ahead of the front (k L_k > 0)
     REAL_BEHIND = "real_behind"  # phonon radiated behind the front (k L_k < 0)
-    UPPER_HALF = "upper_half"    # decays for xi > 0
-    LOWER_HALF = "lower_half"    # decays for xi < 0
-
-
-@dataclass(frozen=True)
-class DispersionRoot:
-    k: complex
-    branch: Branch
-    lk: complex  # dL/dk evaluated at k
 
 
 def eval_L(k, V: float, params: ModelParams):
@@ -86,7 +82,7 @@ def _eval_LV(k, V: float, params: ModelParams):
     return val
 
 
-def real_roots(V: float, params: ModelParams, tol: float = REAL_ROOT_TOL) -> np.ndarray:
+def real_roots(V: float, params: ModelParams) -> np.ndarray:
     """Positive real roots of L(., V), ascending.
 
     Only defined for alpha = 0; damping pushes every root off the real axis.
@@ -118,10 +114,10 @@ def real_roots(V: float, params: ModelParams, tol: float = REAL_ROOT_TOL) -> np.
         for _ in range(8):  # Newton polish
             f = eval_L(r, V, params).real
             df = eval_Lk(r, V, params).real
-            if df == 0.0 or abs(f) <= tol:
+            if df == 0.0 or abs(f) <= REAL_ROOT_TOL:
                 break
             r -= f / df
-        if abs(eval_L(r, V, params).real) > 1e3 * tol:
+        if abs(eval_L(r, V, params).real) > 1e3 * REAL_ROOT_TOL:
             raise NotConverged(f"real root polish stalled at k={r}")
         if abs(eval_Lk(r, V, params).real) <= RES_GUARD * (1.0 + abs(r)):
             raise ResonantVelocity(
@@ -146,14 +142,14 @@ def classify_real_root(k: float, V: float, params: ModelParams) -> Branch:
 # complex roots
 # ---------------------------------------------------------------------------
 
-def _newton_complex(seeds: np.ndarray, V: float, params: ModelParams,
-                    iters: int = 60) -> np.ndarray:
+def _newton_complex(seeds: np.ndarray, V: float,
+                    params: ModelParams) -> np.ndarray:
     """Vectorized Newton iteration on L; returns converged points only."""
     k = np.asarray(seeds, dtype=complex).copy()
     step = np.full(k.shape, np.inf)
     # dead iterates carry NaN; silence the resulting invalid-value noise
     with np.errstate(invalid="ignore", over="ignore"):
-        for _ in range(iters):
+        for _ in range(NEWTON_ITERS):
             f = eval_L(k, V, params)
             df = eval_Lk(k, V, params)
             bad = np.abs(df) < 1e-14
@@ -170,31 +166,17 @@ def _newton_complex(seeds: np.ndarray, V: float, params: ModelParams,
     return k[ok]
 
 
-def _dedupe_complex(ks: np.ndarray) -> list[complex]:
-    out: list[complex] = []
-    for z in sorted(ks, key=lambda z: (abs(z.imag), abs(z.real), z.real)):
-        if all(abs(z - w) > DEDUPE_RADIUS * (1.0 + abs(z)) for w in out):
-            out.append(complex(z))
-    return out
-
-
-def _strip_predictors(V: float, params: ModelParams, n_strips: int, sgn: float):
+def _strip_predictors(V: float, params: ModelParams, n_strips: int,
+                      sgn: float) -> np.ndarray:
     """Asymptotic seeds near x = (2m+1) pi, e^y ~ V^2 x^2 - mu - 2."""
-    seeds = []
-    for m in range(1, n_strips + 1):
-        x0 = (2 * m + 1) * np.pi
-        arg = V**2 * x0**2 - params.mu - 2.0
-        if arg <= 2.0:
-            continue
-        y0 = np.log(arg)
-        seeds.append(x0 + sgn * 1j * y0)
-        seeds.append(x0 - 1.0 + sgn * 1j * y0)
-        seeds.append(x0 + 1.0 + sgn * 1j * y0)
-    return seeds
+    x0 = (2 * np.arange(1, n_strips + 1) + 1) * np.pi
+    arg = V**2 * x0**2 - params.mu - 2.0
+    x0, y0 = x0[arg > 2.0, None], np.log(arg[arg > 2.0, None])
+    return (x0 + np.array([0.0, -1.0, 1.0]) + sgn * 1j * y0).ravel()
 
 
 def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
-                   y0: float, y1: float, max_rounds: int = 40) -> int:
+                   y0: float, y1: float) -> int:
     """Zeros of L inside the rectangle via boundary phase tracking.
 
     Each boundary segment is subdivided until consecutive phase increments
@@ -208,7 +190,7 @@ def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
         n = max(16, int(4.0 * abs(b - a)))
         pts.append(a + (b - a) * np.arange(n) / n)
     pts = np.concatenate(pts + [np.array([corners[-1]])])
-    for _ in range(max_rounds):
+    for _ in range(WINDING_ROUNDS):
         vals = eval_L(pts, V, params)
         if np.min(np.abs(vals)) < 1e-13:
             raise RootCountMismatch(
@@ -226,188 +208,126 @@ def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
     raise RootCountMismatch("winding refinement did not settle")
 
 
+def _folded_roots(V: float, params: ModelParams, n_roots: int, sgn: float,
+                  dense: bool) -> np.ndarray:
+    """Distinct roots with sgn Im k > 0 and Re k >= 0, sorted by |Im| then Re.
+
+    Every Newton-converged seed is folded onto Re k >= 0 by the mirror
+    k -> -conj(k), under which the half plane is closed; real parts within
+    1e-9 of the imaginary axis snap onto it. A point is dropped when it lies
+    within DEDUPE_RADIUS (relative) of an earlier one, and since the points
+    are sorted by |Im|, only the few before it in that band are compared.
+    """
+    step = 0.35 if dense else 0.7
+    xs = np.arange(0.0, np.sqrt(params.mu + 4.0) / V + 2.0 * np.pi, step)
+    ys = np.arange(0.05, 9.0, 0.45 if dense else 0.9)
+    gx, gy = np.meshgrid(xs, ys)
+    seeds = [(gx + sgn * 1j * gy).ravel(),
+             _strip_predictors(V, params, n_roots // 2 + 8, sgn)]
+    if params.alpha > 0.0:
+        # damping shifts the alpha = 0 phonon roots slightly off axis
+        try:
+            undamped = real_roots(V, ModelParams(params.mu, 0.0))
+        except (ResonantVelocity, NotConverged):
+            undamped = np.array([])
+        seeds.append(np.concatenate([undamped, -undamped]) + sgn * 1e-3j)
+    ks = _newton_complex(np.concatenate(seeds), V, params)
+    floor = 1e-12 if params.alpha > 0.0 else AXIS_OFFSET
+    ks = ks[sgn * ks.imag > floor]
+    re = np.abs(ks.real)
+    re[re < 1e-9 * (1.0 + np.abs(ks.imag))] = 0.0
+    ks = re + 1j * ks.imag
+    im = np.abs(ks.imag)
+    order = np.lexsort((re, im))
+    ks, im = ks[order], im[order]
+    tol = DEDUPE_RADIUS * (1.0 + np.abs(ks))
+    band = np.arange(ks.size) - np.searchsorted(im, im - tol)
+    dup = np.zeros(ks.size, bool)
+    for lag in range(1, int(band.max(initial=0)) + 1):
+        dup[lag:] |= np.abs(ks[lag:] - ks[:-lag]) <= tol[lag:]
+    return ks[~dup]
+
+
+def _half_plane_attempt(V: float, params: ModelParams, n_roots: int,
+                        sgn: float, dense: bool) -> np.ndarray:
+    """One search of _half_plane_roots; RootCountMismatch when it fails."""
+    reps = _folded_roots(V, params, n_roots, sgn, dense)
+    # a root off the imaginary axis stands for its mirror family of two
+    total = np.cumsum(np.where(reps.real > 0.0, 2, 1))
+    n_keep = int(np.searchsorted(total, n_roots)) + 1
+    if n_keep >= reps.size:
+        raise RootCountMismatch(
+            f"found only {total[-1] if total.size else 0} roots in half "
+            f"plane, wanted {n_roots}")
+    kept = reps[:n_keep]
+    last_im, cut_im = abs(kept[-1].imag), abs(reps[n_keep].imag)
+    if cut_im - last_im < 1e-9:
+        raise RootCountMismatch("could not separate root families at the cut")
+    y_hi = 0.5 * (last_im + cut_im)
+    y_lo = 0.0 if params.alpha > 0.0 else 0.5 * AXIS_OFFSET
+    x_max = float(np.max(kept.real)) + 0.5 * np.pi
+    y0, y1 = (-y_hi, -y_lo) if sgn < 0.0 else (y_lo, y_hi)
+    n_inside = _winding_count(V, params, -x_max, x_max, y0, y1)
+    if n_inside != total[n_keep - 1]:
+        raise RootCountMismatch(
+            f"winding count {n_inside} != located {total[n_keep - 1]} "
+            f"(V={V}, {'lower' if sgn < 0.0 else 'upper'} half)")
+    # unfold each family as (-conj(k), k); an axis root is its own mirror
+    both = np.column_stack([-np.conj(kept), kept])
+    return both[np.column_stack([kept.real > 0.0, np.ones(n_keep, bool)])]
+
+
 def _half_plane_roots(V: float, params: ModelParams, n_roots: int,
                       lower: bool = False) -> np.ndarray:
     """At least n_roots complex roots in one half plane, sorted by |Im| then |Re|.
 
     Mirror symmetry L(-conj(k)) = conj(L(k)) pairs each off-axis root with a
-    partner in the same half plane, so the returned count is rounded up when a
-    cut would split such a pair. Verified with an argument-principle winding
-    count over the searched band; on mismatch the seed grid is densified once
-    before giving up.
+    partner in the same half plane, so the search keeps one representative
+    per family and the returned count is rounded up when a cut would split a
+    pair. Verified with an argument-principle winding count over the
+    searched band; on mismatch the seed grid is densified once before giving
+    up.
     """
     sgn = -1.0 if lower else 1.0
-    kmax_real = np.sqrt(params.mu + 4.0) / V
-    n_strips = n_roots // 2 + 8
-
-    def collect(extra_dense: bool) -> list[complex]:
-        step = 0.35 if extra_dense else 0.7
-        xs = np.arange(0.0, kmax_real + 2.0 * np.pi, step)
-        ys = np.arange(0.05, 9.0, 0.45 if extra_dense else 0.9)
-        gx, gy = np.meshgrid(xs, ys)
-        seeds = (gx + sgn * 1j * gy).ravel().tolist()
-        seeds += _strip_predictors(V, params, n_strips, sgn)
-        if params.alpha > 0.0:
-            # damping shifts the alpha = 0 phonon roots slightly off axis
-            try:
-                undamped = real_roots(V, ModelParams(params.mu, 0.0))
-            except (ResonantVelocity, NotConverged):
-                undamped = np.array([])
-            for r in undamped:
-                seeds += [r + sgn * 1j * 1e-3, -r + sgn * 1j * 1e-3]
-        ks = _newton_complex(np.array(seeds), V, params)
-        floor = 1e-12 if params.alpha > 0.0 else AXIS_OFFSET
-        ks = ks[sgn * ks.imag > floor]
-        # snap near-axis real parts so mirror pairs match exactly
-        re = np.where(np.abs(ks.real) < 1e-9 * (1.0 + np.abs(ks.imag)), 0.0, ks.real)
-        ks = re + 1j * ks.imag
-        roots = _dedupe_complex(ks)
-        full = list(roots)
-        for z in roots:
-            zm = -np.conj(z)
-            if abs(zm.real) > 0 and all(abs(zm - w) > DEDUPE_RADIUS * (1 + abs(zm)) for w in full):
-                full.append(zm)
-        return sorted(full, key=lambda z: (abs(z.imag), abs(z.real), z.real))
-
-    for attempt in (False, True):
-        roots = collect(extra_dense=attempt)
-        # group mirror families in |Im| order and cut between families
-        fams: list[list[complex]] = []
-        used = set()
-        for i, z in enumerate(roots):
-            if i in used:
-                continue
-            fam = [z]
-            used.add(i)
-            if z.real != 0.0:
-                zm = -np.conj(z)
-                for j in range(i + 1, len(roots)):
-                    if j not in used and abs(roots[j] - zm) < 1e-7 * (1 + abs(zm)):
-                        fam.append(roots[j])
-                        used.add(j)
-                        break
-            fams.append(fam)
-        kept: list[complex] = []
-        cut_im = None
-        for fi, fam in enumerate(fams):
-            if len(kept) >= n_roots:
-                cut_im = abs(fam[0].imag)
-                break
-            kept.extend(fam)
-        if len(kept) < n_roots or cut_im is None:
-            if not attempt:
-                continue
-            raise RootCountMismatch(
-                f"found only {len(kept)} roots in half plane, wanted {n_roots}")
-        last_im = max(abs(z.imag) for z in kept)
-        if cut_im - last_im < 1e-9:
-            if not attempt:
-                continue
-            raise RootCountMismatch("could not separate root families at the cut")
-        y_hi = 0.5 * (last_im + cut_im)
-        y_lo = 0.0 if params.alpha > 0.0 else 0.5 * AXIS_OFFSET
-        x_max = max(abs(z.real) for z in kept) + 0.5 * np.pi
-        try:
-            if lower:
-                n_inside = _winding_count(V, params, -x_max, x_max, -y_hi, -y_lo)
-            else:
-                n_inside = _winding_count(V, params, -x_max, x_max, y_lo, y_hi)
-        except RootCountMismatch:
-            if not attempt:
-                continue
-            raise
-        expected = sum(1 for z in kept if abs(z.real) <= x_max)
-        if n_inside != expected:
-            if not attempt:
-                continue
-            raise RootCountMismatch(
-                f"winding count {n_inside} != located {expected} "
-                f"(V={V}, {'lower' if lower else 'upper'} half)")
-        return np.array(kept)
-    raise RootCountMismatch("unreachable")
+    try:
+        return _half_plane_attempt(V, params, n_roots, sgn, dense=False)
+    except RootCountMismatch:
+        return _half_plane_attempt(V, params, n_roots, sgn, dense=True)
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """All dispersion roots needed to evaluate profiles at one velocity."""
+    """The dispersion roots behind the residue sums at one velocity.
 
-    V: float
-    params: ModelParams
-    roots: tuple[DispersionRoot, ...]
-    n_requested: int
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        return np.array([r.k for r in self.roots if r.branch is Branch.UPPER_HALF])
-
-    @cached_property
-    def lower(self) -> np.ndarray:
-        return np.array([r.k for r in self.roots if r.branch is Branch.LOWER_HALF])
-
-    @cached_property
-    def real_ahead(self) -> np.ndarray:
-        """Positive representatives; -k belongs to the same class."""
-        return np.array(sorted(r.k.real for r in self.roots
-                               if r.branch is Branch.REAL_AHEAD and r.k.real > 0))
-
-    @cached_property
-    def real_behind(self) -> np.ndarray:
-        """Positive representatives; -k belongs to the same class."""
-        return np.array(sorted(r.k.real for r in self.roots
-                               if r.branch is Branch.REAL_BEHIND and r.k.real > 0))
-
-
-def _complex_pair_arrays(V: float, params: ModelParams,
-                         n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    upper = _half_plane_roots(V, params, n_pairs, lower=False)
-    if params.alpha == 0.0:
-        lower = np.conj(upper)
-    else:
-        lower = _half_plane_roots(V, params, n_pairs, lower=True)
-    return upper, lower
-
-
-def complex_roots(V: float, params: ModelParams,
-                  n_pairs: int = DEFAULT_N_PAIRS) -> list[DispersionRoot]:
-    """The n_pairs complex roots of smallest |Im k| per half plane.
-
-    Counts may exceed n_pairs by one per half so a mirror pair (k, -conj k)
-    is never split. For alpha = 0 the lower half is the conjugate of the
-    upper; with damping the halves are searched independently.
+    upper / lower hold the complex roots of smallest |Im k| in each half
+    plane, sorted by |Im| then |Re|; real_ahead / real_behind the positive
+    real roots (alpha = 0 only) radiating ahead of (k L_k > 0) or behind the
+    front, ascending. A real root's mirror -k belongs to the same class.
     """
-    upper, lower = _complex_pair_arrays(V, params, n_pairs)
-    out = [DispersionRoot(complex(k), Branch.UPPER_HALF,
-                          complex(eval_Lk(k, V, params))) for k in upper]
-    out += [DispersionRoot(complex(k), Branch.LOWER_HALF,
-                           complex(eval_Lk(k, V, params))) for k in lower]
-    out.sort(key=lambda r: (abs(r.k.imag), abs(r.k.real), r.k.real, r.k.imag))
-    return out
+
+    upper: np.ndarray
+    lower: np.ndarray
+    real_ahead: np.ndarray
+    real_behind: np.ndarray
 
 
 @lru_cache(maxsize=256)
 def root_set(V: float, params: ModelParams,
              n_pairs: int = DEFAULT_N_PAIRS) -> RootSet:
-    """Memoized bundle of real and complex roots at velocity V."""
-    if params.alpha == 0.0:
-        reals = real_roots(V, params)
-        cls = [classify_real_root(r, V, params) for r in reals]
-        ahead = np.array([r for r, c in zip(reals, cls) if c is Branch.REAL_AHEAD])
-        behind = np.array([r for r, c in zip(reals, cls) if c is Branch.REAL_BEHIND])
-    else:
-        ahead = np.array([])
-        behind = np.array([])
-    upper, lower = _complex_pair_arrays(V, params, n_pairs)
+    """Memoized real and complex roots at velocity V.
 
-    roots: list[DispersionRoot] = []
-    for arr, br in ((ahead, Branch.REAL_AHEAD), (behind, Branch.REAL_BEHIND)):
-        for r in arr:
-            roots.append(DispersionRoot(complex(r), br, complex(eval_Lk(r, V, params))))
-            roots.append(DispersionRoot(complex(-r), br, complex(eval_Lk(-r, V, params))))
-    for arr, br in ((upper, Branch.UPPER_HALF), (lower, Branch.LOWER_HALF)):
-        for k in arr:
-            roots.append(DispersionRoot(complex(k), br, complex(eval_Lk(k, V, params))))
-    roots.sort(key=lambda r: (abs(r.k.imag), abs(r.k.real), r.k.real, r.k.imag))
-    return RootSet(V=V, params=params, roots=tuple(roots), n_requested=n_pairs)
+    Each half plane holds n_pairs complex roots, or n_pairs + 1 where the
+    cut would split a mirror pair (k, -conj k). For alpha = 0 the lower half
+    is the conjugate of the upper; with damping the halves are searched
+    independently.
+    """
+    reals = real_roots(V, params) if params.alpha == 0.0 else np.array([])
+    ahead = np.array([classify_real_root(r, V, params) is Branch.REAL_AHEAD
+                      for r in reals], bool)
+    upper = _half_plane_roots(V, params, n_pairs)
+    lower = np.conj(upper) if params.alpha == 0.0 \
+        else _half_plane_roots(V, params, n_pairs, lower=True)
+    return RootSet(upper, lower, reals[ahead], reals[~ahead])
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +382,8 @@ def _resonance_newton(params: ModelParams, k_cap: float) -> list[tuple[float, fl
     return sols
 
 
-def is_resonant(V: float, params: ModelParams, tol: float = 1e-5) -> bool:
-    """True when V lies within tol of a resonance velocity.
+def is_resonant(V: float, params: ModelParams) -> bool:
+    """True when V lies within RESONANCE_TOL of a resonance velocity.
 
     Implemented locally: at distance dV from a resonance the extremal value
     of L between (or instead of) the colliding real roots is about
@@ -495,6 +415,13 @@ def is_resonant(V: float, params: ModelParams, tol: float = 1e-5) -> bool:
             continue
         if abs(eval_Lk(k, V, params).real) > 1e-9 * (1.0 + abs(k)):
             continue
-        if abs(eval_L(k, V, params).real) <= tol * abs(_eval_LV(k, V, params).real):
+        if abs(eval_L(k, V, params).real) \
+                <= RESONANCE_TOL * abs(_eval_LV(k, V, params).real):
             return True
     return False
+
+
+def require_nonresonant(V: float, params: ModelParams) -> None:
+    """Raise ResonantVelocity when is_resonant(V, params)."""
+    if is_resonant(V, params):
+        raise ResonantVelocity(f"V={V} is within tolerance of a resonance")

@@ -12,7 +12,7 @@ the null direction, and the stress follows from u(z) + u(-z) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .acwave import (
     convolve,
     sigma_AC,
 )
-from .dispersion import DEFAULT_N_PAIRS, is_resonant
+from .dispersion import DEFAULT_N_PAIRS, require_nonresonant
 from .errors import (
     NoAdmissibleWave,
     NoCandidate,
@@ -67,18 +67,6 @@ class ShapeFunction:
     delta_plus: float = 0.0
     delta_minus: float = 0.0
 
-    def trapezoid(self) -> np.ndarray:
-        """Trapezoidal quadrature weights matching the mesh."""
-        m = len(self.mesh)
-        if m == 0:
-            return np.array([])
-        if m == 1:
-            return np.array([0.0])
-        d = self.mesh[1] - self.mesh[0]
-        w = np.full(m, d)
-        w[0] = w[-1] = 0.5 * d
-        return w
-
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The shape as a discrete measure: positions and masses.
 
@@ -88,7 +76,7 @@ class ShapeFunction:
         z = 0 wave is one unit atom at 0.
         """
         if len(self.mesh):
-            s, a = self.mesh, self.trapezoid() * self.weights
+            s, a = self.mesh, _trapezoid(self.mesh) * self.weights
         elif self.z > 0:
             s, a = np.array([-self.z, self.z]), np.zeros(2)
         else:
@@ -123,18 +111,18 @@ class WaveSolution:
     residual: float
     admissible: bool
     branch: str
-    _kernel: str = field(default="quad", repr=False)
 
-    def evaluate(self, xi, method: str | None = None) -> np.ndarray:
+    def evaluate(self, xi, method: str = "residue") -> np.ndarray:
         """u(xi) = sigma - Sigma(V) + integral h(s) U(xi - s) ds.
 
-        method "quad" (accurate, default for small batches) or "residue"
-        (fast for large site grids, e.g. seeding a chain).
+        method "residue" (default: residue sums, with the points within
+        NEAR_PLATEAU of the plateau by quadrature) or "quad" (quadrature
+        throughout, the cross-check route).
         """
         Sigma = sigma_AC(self.V, self.params, DEFAULT_N_PAIRS)
         return self.sigma - Sigma + self._convolve(xi, "U", method)
 
-    def derivative(self, xi, method: str | None = None) -> np.ndarray:
+    def derivative(self, xi, method: str = "residue") -> np.ndarray:
         """du/dxi; the kernel q is -dU/dxi, so this is -(h * q)(xi).
 
         A traveling wave moves sites by du/dt = -V du/dxi, which seeds the
@@ -142,12 +130,11 @@ class WaveSolution:
         """
         return -self._convolve(xi, "q", method)
 
-    def _convolve(self, xi, kind: str, method: str | None) -> np.ndarray:
+    def _convolve(self, xi, kind: str, method: str) -> np.ndarray:
         """convolve of the shape's atoms; on the residue route the points
         within NEAR_PLATEAU of [-z, z] take the quadrature route, because
         there the residue series of the slope converge slowly."""
         xi = np.atleast_1d(np.asarray(xi, float))
-        method = method or self._kernel
         quad = np.abs(xi) <= self.z + NEAR_PLATEAU if method == "residue" \
             else np.zeros(xi.shape, bool)
         out = np.zeros(xi.shape)
@@ -159,12 +146,14 @@ class WaveSolution:
         return out
 
 
-def _mesh_and_weights(z: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    s = np.linspace(-z, z, m)
-    d = s[1] - s[0]
-    w = np.full(m, d)
+def _trapezoid(mesh: np.ndarray) -> np.ndarray:
+    """Trapezoidal quadrature weights of a uniform mesh."""
+    if len(mesh) < 2:
+        return np.zeros(len(mesh))
+    d = mesh[1] - mesh[0]
+    w = np.full(len(mesh), d)
     w[0] = w[-1] = 0.5 * d
-    return s, w
+    return w
 
 
 def _q_matrix(z: float, m: int, V: float, params: ModelParams,
@@ -172,7 +161,7 @@ def _q_matrix(z: float, m: int, V: float, params: ModelParams,
     # kernel values q((i - j) d) for all lags of the uniform mesh
     lags = np.arange(-(m - 1), m) * (2.0 * z / (m - 1))
     qv = convolve(lags, UNIT_ATOM, V, params, "q", kernel, n_pairs)
-    _, w = _mesh_and_weights(z, m)
+    w = _trapezoid(np.linspace(-z, z, m))
     idx = np.arange(m)
     Q = qv[(idx[:, None] - idx[None, :]) + m - 1]
     return Q * w[None, :]
@@ -205,17 +194,15 @@ def _logdet_sign(Q: np.ndarray) -> tuple[float, float]:
 def find_z(V: float, params: ModelParams,
            z_range: tuple[float, float] = Z_RANGE,
            m: int = DEFAULT_MESH, kernel: str = "quad",
-           n_pairs: int = DEFAULT_N_PAIRS,
-           scan_points: int = Z_SCAN_POINTS) -> list[float]:
+           n_pairs: int = DEFAULT_N_PAIRS) -> list[float]:
     """Plateau half-widths where det Q(z) changes sign, refined by bisection.
 
     Ascending; |delta z| <= 1e-8 after refinement. Raises NoCandidate when
     the determinant keeps one sign across the scanned range.
     """
-    if is_resonant(V, params):
-        raise ResonantVelocity(f"V={V} is within tolerance of a resonance")
+    require_nonresonant(V, params)
     args = (V, params, kernel, n_pairs)
-    zs = np.linspace(z_range[0], z_range[1], scan_points)
+    zs = np.linspace(z_range[0], z_range[1], Z_SCAN_POINTS)
     signs = np.array([_logdet_sign(_q_matrix(z, m, *args))[0] for z in zs])
     out: list[float] = []
     for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
@@ -254,8 +241,8 @@ def solve_shape(z: float, V: float, params: ModelParams,
         raise NullspaceNotRankOne(
             f"ambiguous null space: s_min={sv[-1]:.2e} s_next={sv[-2]:.2e}")
     h = vt[-1]
-    s, w = _mesh_and_weights(z, m)
-    integral = float(w @ h)
+    s = np.linspace(-z, z, m)
+    integral = float(_trapezoid(s) @ h)
     if integral == 0.0:
         raise NullspaceNotRankOne("null direction has zero mean")
     h = h / integral
@@ -284,25 +271,23 @@ def assemble_wave(shape: ShapeFunction, V: float, params: ModelParams,
     wave = WaveSolution(
         V=V, params=params, z=shape.z, sigma=sigma, shape=shape,
         residual=residual, admissible=False,
-        branch="new" if shape.z > 0 else "ac", _kernel=kernel)
-    return replace(wave, admissible=check_generalized(wave, CHECK_RANGE,
-                                                      PLATEAU_TOL))
+        branch="new" if shape.z > 0 else "ac")
+    return replace(wave, admissible=check_generalized(wave))
 
 
-def check_generalized(wave: WaveSolution, span: float = CHECK_RANGE,
-                      tol: float = PLATEAU_TOL) -> bool:
+def check_generalized(wave: WaveSolution) -> bool:
     """Generalized admissibility: flat plateau and strict signs outside.
 
-    True iff the plateau residual is <= tol and u < 0 on (z, z+span],
-    u > 0 on [-z-span, -z), sampled at spacing <= 0.05.
+    True iff the plateau residual is <= PLATEAU_TOL and u < 0 on
+    (z, z + CHECK_RANGE], u > 0 on [-z - CHECK_RANGE, -z), sampled at
+    spacing ADMISSIBLE_SPACING.
     """
-    if wave.residual > tol:
+    if wave.residual > PLATEAU_TOL:
         return False
-    n = int(np.ceil(span / ADMISSIBLE_SPACING))
-    xs = wave.z + np.linspace(ADMISSIBLE_SPACING, span, n)
-    # residue evaluation is accurate away from the plateau and much faster
-    right = wave.evaluate(xs, method="residue")
-    left = wave.evaluate(-xs, method="residue")
+    n = int(np.ceil(CHECK_RANGE / ADMISSIBLE_SPACING))
+    xs = wave.z + np.linspace(ADMISSIBLE_SPACING, CHECK_RANGE, n)
+    right = wave.evaluate(xs)
+    left = wave.evaluate(-xs)
     return bool(np.all(right < 0.0) and np.all(left > 0.0))
 
 
@@ -324,8 +309,7 @@ def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
                  kernel: str = "quad", n_pairs: int = DEFAULT_N_PAIRS,
                  z_range: tuple[float, float] = Z_RANGE) -> WaveSolution:
     """Full wave behind kinetic_point; used for profiles and chain seeding."""
-    if is_resonant(V, params):
-        raise ResonantVelocity(f"V={V} is within tolerance of a resonance")
+    require_nonresonant(V, params)
     if ac_admissible(V, params, n_pairs=n_pairs):
         shape = ShapeFunction(z=0.0, mesh=np.array([]), weights=np.array([]),
                               delta_plus=0.5, delta_minus=0.5)

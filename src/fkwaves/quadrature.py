@@ -120,14 +120,14 @@ def pv_panel_integral(grid: PanelGrid, f_nodes: np.ndarray,
                       poles: np.ndarray, strengths: np.ndarray) -> np.ndarray:
     """Principal value of integral_0^K f(k) dk, poles r_j with residues c_j.
 
-    f_nodes has shape (n_xi, n_nodes), strengths (n_xi, n_poles). Subtracted
+    f_nodes has shape (n_xi, n_nodes), strengths (n_xi, n_poles); f_nodes is
+    overwritten, since the subtraction works on it in place. Subtracted
     form: near its closest pole the difference f - c/(k - r) is assembled as
     (f*(k-r) - c) / (k-r), with f*(k-r) evaluated as f_nodes * (k-r); the
     remaining poles are far enough for plain subtraction. The subtracted
     c_j/(k-r_j) integrate to c_j log((K-r_j)/r_j).
     """
     k = grid.nodes
-    vals = np.array(f_nodes, copy=True)
     if len(poles):
         D = k[None, :] - poles[:, None]            # (n_poles, n_nodes)
         jstar = np.argmin(np.abs(D), axis=0)       # (n_nodes,)
@@ -135,13 +135,13 @@ def pv_panel_integral(grid: PanelGrid, f_nodes: np.ndarray,
         d_inv = inv[jstar, np.arange(k.size)][None, :]
         c_star = strengths[:, jstar]
         # remove the naive nearest-pole term, add back the grouped version:
-        # vals <- ((vals - full + c*/d*) * d* - c*) / d*
-        vals -= strengths @ inv
-        vals += c_star * d_inv
-        vals /= d_inv
-        vals -= c_star
-        vals *= d_inv
-    out = vals @ grid.weights
+        # f <- ((f - full + c*/d*) * d* - c*) / d*
+        f_nodes -= strengths @ inv
+        f_nodes += c_star * d_inv
+        f_nodes /= d_inv
+        f_nodes -= c_star
+        f_nodes *= d_inv
+    out = f_nodes @ grid.weights
     for r, c in zip(poles, strengths.T):
         out = out + c * math.log((grid.K - r) / r)
     return out

@@ -7,7 +7,7 @@ reduction of the resonance system solved directly with brentq.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
@@ -16,7 +16,6 @@ from fkwaves import (
     ModelParams,
     ResonantVelocity,
     classify_real_root,
-    complex_roots,
     eval_L,
     eval_Lk,
     is_resonant,
@@ -93,9 +92,9 @@ class TestComplexRoots:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_roots_satisfy_dispersion(self, alpha):
         p = ModelParams(1.0, alpha)
-        roots = complex_roots(0.5, p, 40)
-        assert len(roots) >= 80        # both half planes
-        ks = np.array([r.k for r in roots])
+        roots = root_set(0.5, p, 40)
+        ks = np.concatenate([roots.upper, roots.lower])
+        assert len(ks) >= 80        # both half planes
         assert np.max(np.abs(eval_L(ks, 0.5, p))) < 1e-8
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -117,6 +116,33 @@ class TestComplexRoots:
             # without damping the halves are complex conjugates
             assert_allclose(sort(rs.lower), sort(np.conj(rs.upper)),
                             rtol=1e-12, atol=1e-12)
+
+    # Within about 3e-4 of a resonance the search raises RootCountMismatch
+    # although is_resonant is False, so V keeps RESONANCE_MARGIN from them;
+    # damping below about 1e-9 fails the same way.
+    RESONANCE_MARGIN = 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(V=st.floats(0.12, 1.0),
+           alpha=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+           n=st.integers(20, 120))
+    def test_root_set_invariants(self, V, alpha, n):
+        p = ModelParams(1.0, alpha)
+        assume(all(abs(V - v) > self.RESONANCE_MARGIN
+                   for v, _ in resonance_velocities(P1, count=5)))
+        rs = root_set(V, p, n)
+        for half in (rs.upper, rs.lower):
+            # a cut never splits a mirror pair, so n or n + 1 per half
+            assert len(half) in (n, n + 1)
+            assert np.max(np.abs(eval_L(half, V, p))) < 1e-8
+            # each half is closed under the mirror k -> -conj(k)
+            mirror = -np.conj(half)
+            dist = np.abs(mirror[:, None] - half[None, :]).min(axis=1)
+            assert np.all(dist <= 1e-9 * (1.0 + np.abs(half)))
+        assert np.all(rs.upper.imag > 0)
+        assert np.all(rs.lower.imag < 0)
+        if alpha == 0.0:
+            assert np.array_equal(rs.lower, np.conj(rs.upper))
 
 
 class TestResonances:
