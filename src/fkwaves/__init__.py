@@ -24,14 +24,12 @@ from .errors import (
     TruncationWarning,
 )
 from .dispersion import (
-    Branch,
     RootSet,
     eval_L,
     eval_Lk,
     real_roots,
     root_set,
     is_resonant,
-    classify_real_root,
     resonance_velocities,
 )
 from .acwave import (

@@ -358,7 +358,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(ns.command, ns)
         return HANDLERS[ns.command](cfg)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # the library raises ValueError for out-of-range arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NO_SOLUTION_ERRORS as exc:

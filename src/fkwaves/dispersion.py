@@ -16,7 +16,6 @@ on top of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -24,10 +23,7 @@ import numpy as np
 from .errors import NotConverged, ResonantVelocity, RootCountMismatch
 from .params import ModelParams
 
-# bracketing scan resolution for real roots on (0, sqrt(mu+4)/V]
-REAL_SCAN_POINTS = 2048
-# Newton targets: absolute |L| for real roots, step based for complex ones
-REAL_ROOT_TOL = 1e-12
+# Newton targets for complex roots
 COMPLEX_ROOT_TOL = 1e-10
 NEWTON_STEP_TOL = 1e-13
 NEWTON_ITERS = 60
@@ -42,15 +38,10 @@ DEFAULT_N_PAIRS = 400
 # off-axis band: for alpha = 0 complex roots cannot sit closer to the real
 # axis than this outside the resonance exclusion zone
 AXIS_OFFSET = 5e-5
+# parts per bracket in each pass of the real-axis search
+SPLIT = 64
 # boundary refinement rounds of the winding count
 WINDING_ROUNDS = 40
-
-
-class Branch(Enum):
-    """Radiation side of a real phonon root."""
-
-    REAL_AHEAD = "real_ahead"    # phonon radiated ahead of the front (k L_k > 0)
-    REAL_BEHIND = "real_behind"  # phonon radiated behind the front (k L_k < 0)
 
 
 def eval_L(k, V: float, params: ModelParams):
@@ -71,19 +62,54 @@ def eval_Lk(k, V: float, params: ModelParams):
     return val if val.ndim else val[()]
 
 
-def _eval_Lkk(k, V: float):
-    return 2.0 * np.cos(k) - 2.0 * V**2
+def _monotone_zeros(f, edges: np.ndarray) -> np.ndarray:
+    """The zero of f on every piece between consecutive edges where f is
+    monotone and changes sign strictly, bracketed to two adjacent doubles;
+    each pass cuts every bracket into SPLIT parts with one call of f."""
+    fe = f(edges)
+    i = np.nonzero(np.sign(fe[:-1]) * np.sign(fe[1:]) < 0)[0]
+    a, b, s = edges[i], edges[i + 1], np.sign(fe[i])[:, None]
+    t, rows = np.arange(SPLIT + 1) / SPLIT, np.arange(i.size)
+    while True:
+        c = 0.5 * (a + b)
+        # a collapsed bracket has no double strictly inside
+        if not ((a < c) & (c < b)).any():
+            return c
+        grid = a[:, None] + (b - a)[:, None] * t
+        grid[:, -1] = b
+        # the first cut at or past the zero; cut 0 is a, before it
+        j = (s * f(grid) <= 0.0).argmax(axis=1)
+        a, b = grid[rows, j - 1], grid[rows, j]
 
 
-def _eval_LV(k, V: float, params: ModelParams):
-    val = -2.0 * V * np.asarray(k) ** 2
-    if params.alpha != 0.0:
-        val = val - 1j * np.asarray(k) * params.alpha
-    return val
+@lru_cache(maxsize=1024)
+def _real_axis(V: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Critical points and roots of the undamped L on (0, kmax], ascending.
+
+    L_kk = 2 cos k - 2 V^2 vanishes only at 2 pi n +- arccos(V^2), so L_k is
+    monotone between those points and each piece holds at most one critical
+    point of L; L is monotone between consecutive critical points, and
+    L < 0 beyond kmax = sqrt(mu + 4) / V. Both arrays are read-only.
+    """
+    if V <= 0.0:
+        raise ValueError("V must be positive")
+    p = ModelParams(mu, 0.0)
+    kmax = np.sqrt(mu + 4.0) / V
+    # for V >= 1, L_kk <= 0 everywhere and any edges will do
+    turn = np.arccos(min(V**2, 1.0))
+    n = 2.0 * np.pi * np.arange(np.ceil(kmax / (2.0 * np.pi)) + 1.0)
+    infl = (n[:, None] + np.array([-turn, turn])).ravel()
+    infl = infl[(infl > 0.0) & (infl < kmax)]
+    crit = _monotone_zeros(lambda k: eval_Lk(k, V, p),
+                           np.concatenate([[0.0], infl, [kmax]]))
+    roots = _monotone_zeros(lambda k: eval_L(k, V, p),
+                            np.concatenate([[0.0], crit, [kmax]]))
+    crit.flags.writeable = roots.flags.writeable = False
+    return crit, roots
 
 
 def real_roots(V: float, params: ModelParams) -> np.ndarray:
-    """Positive real roots of L(., V), ascending.
+    """Positive real roots of L(., V), ascending and read-only.
 
     Only defined for alpha = 0; damping pushes every root off the real axis.
     Callers are expected to rule out resonant V beforehand (is_resonant);
@@ -91,51 +117,14 @@ def real_roots(V: float, params: ModelParams) -> np.ndarray:
 
     Negative roots are the mirror images -k and are not returned.
     """
-    if V <= 0.0:
-        raise ValueError("V must be positive")
     if params.alpha != 0.0:
         raise ValueError("real roots exist only for alpha = 0")
-    kmax = np.sqrt(params.mu + 4.0) / V
-    ks = np.linspace(kmax / REAL_SCAN_POINTS, kmax, REAL_SCAN_POINTS)
-    vals = eval_L(ks, V, params).real
-    roots = []
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    for i in idx:
-        a, b = ks[i], ks[i + 1]
-        fa = vals[i]
-        for _ in range(64):
-            c = 0.5 * (a + b)
-            fc = eval_L(c, V, params).real
-            if fa * fc <= 0.0:
-                b = c
-            else:
-                a, fa = c, fc
-        r = 0.5 * (a + b)
-        for _ in range(8):  # Newton polish
-            f = eval_L(r, V, params).real
-            df = eval_Lk(r, V, params).real
-            if df == 0.0 or abs(f) <= REAL_ROOT_TOL:
-                break
-            r -= f / df
-        if abs(eval_L(r, V, params).real) > 1e3 * REAL_ROOT_TOL:
-            raise NotConverged(f"real root polish stalled at k={r}")
-        if abs(eval_Lk(r, V, params).real) <= RES_GUARD * (1.0 + abs(r)):
-            raise ResonantVelocity(
-                f"degenerate real root k={r:.12g} at V={V:.12g}")
-        roots.append(r)
-    out = np.array(sorted(roots))
-    keep = np.ones(len(out), bool)
-    keep[1:] = np.diff(out) > DEDUPE_RADIUS
-    return out[keep]
-
-
-def classify_real_root(k: float, V: float, params: ModelParams) -> Branch:
-    """Radiation side of a real phonon root.
-
-    k * dL/dk is even in k, so a root and its mirror -k classify identically.
-    """
-    s = k * eval_Lk(k, V, params).real
-    return Branch.REAL_AHEAD if s > 0.0 else Branch.REAL_BEHIND
+    roots = _real_axis(V, params.mu)[1]
+    flat = np.abs(eval_Lk(roots, V, params)) <= RES_GUARD * (1.0 + roots)
+    if flat.any():
+        raise ResonantVelocity(
+            f"degenerate real root k={roots[flat][0]:.12g} at V={V:.12g}")
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +174,17 @@ def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
     """
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
                complex(x0, y1), complex(x0, y0)]
+    roots = np.outer([-1.0, 1.0], _real_axis(V, params.mu)[1]).ravel()
     pts = []
     for a, b in zip(corners[:-1], corners[1:]):
         n = max(16, int(4.0 * abs(b - a)))
-        pts.append(a + (b - a) * np.arange(n) / n)
+        t = np.arange(n) / n
+        if a.imag == b.imag:
+            # a sample over every real root: two roots just off the edge
+            # between two samples turn the phase by 2 pi, which wraps to 0
+            at = (roots - a.real) / (b.real - a.real)
+            t = np.union1d(t, at[(at > 0.0) & (at < 1.0)])
+        pts.append(a + (b - a) * t)
     pts = np.concatenate(pts + [np.array([corners[-1]])])
     for _ in range(WINDING_ROUNDS):
         vals = eval_L(pts, V, params)
@@ -226,10 +222,7 @@ def _folded_roots(V: float, params: ModelParams, n_roots: int, sgn: float,
              _strip_predictors(V, params, n_roots // 2 + 8, sgn)]
     if params.alpha > 0.0:
         # damping shifts the alpha = 0 phonon roots slightly off axis
-        try:
-            undamped = real_roots(V, ModelParams(params.mu, 0.0))
-        except (ResonantVelocity, NotConverged):
-            undamped = np.array([])
+        undamped = _real_axis(V, params.mu)[1]
         seeds.append(np.concatenate([undamped, -undamped]) + sgn * 1e-3j)
     ks = _newton_complex(np.concatenate(seeds), V, params)
     floor = 1e-12 if params.alpha > 0.0 else AXIS_OFFSET
@@ -322,8 +315,7 @@ def root_set(V: float, params: ModelParams,
     independently.
     """
     reals = real_roots(V, params) if params.alpha == 0.0 else np.array([])
-    ahead = np.array([classify_real_root(r, V, params) is Branch.REAL_AHEAD
-                      for r in reals], bool)
+    ahead = reals * eval_Lk(reals, V, params).real > 0.0
     upper = _half_plane_roots(V, params, n_pairs)
     lower = np.conj(upper) if params.alpha == 0.0 \
         else _half_plane_roots(V, params, n_pairs, lower=True)
@@ -387,38 +379,14 @@ def is_resonant(V: float, params: ModelParams) -> bool:
 
     Implemented locally: at distance dV from a resonance the extremal value
     of L between (or instead of) the colliding real roots is about
-    |dL/dV| * dV, so the test needs no global resonance enumeration.
+    |dL/dV| * dV = 2 V k^2 dV, so the test reads L at the critical points
+    of the real axis and needs no global resonance enumeration.
     """
     if params.alpha > 0.0:
         return False
-    if V <= 0.0:
-        raise ValueError("V must be positive")
-    kmax = np.sqrt(params.mu + 4.0) / V
-    ks = np.linspace(kmax / 4096, kmax, 4096)
-    Lv = eval_L(ks, V, params).real
-    dL = np.diff(Lv)
-    ext = np.nonzero(np.sign(dL[:-1]) * np.sign(dL[1:]) < 0)[0] + 1
-    for i in ext:
-        k = ks[i]
-        if abs(Lv[i]) > 1.0:
-            continue
-        for _ in range(50):  # Newton on dL/dk
-            g = eval_Lk(k, V, params).real
-            gk = _eval_Lkk(k, V)
-            if gk == 0.0:
-                break
-            step = g / gk
-            k -= step
-            if abs(step) < 1e-13 * (1.0 + abs(k)):
-                break
-        if not (0.0 < k <= kmax * 1.01):
-            continue
-        if abs(eval_Lk(k, V, params).real) > 1e-9 * (1.0 + abs(k)):
-            continue
-        if abs(eval_L(k, V, params).real) \
-                <= RESONANCE_TOL * abs(_eval_LV(k, V, params).real):
-            return True
-    return False
+    crit = _real_axis(V, params.mu)[0]
+    return bool(np.any(np.abs(eval_L(crit, V, params))
+                       <= RESONANCE_TOL * 2.0 * V * crit**2))
 
 
 def require_nonresonant(V: float, params: ModelParams) -> None:

@@ -158,6 +158,8 @@ def _trapezoid(mesh: np.ndarray) -> np.ndarray:
 
 def _q_matrix(z: float, m: int, V: float, params: ModelParams,
               kernel: str, n_pairs: int) -> np.ndarray:
+    if m < 3:
+        raise ValueError("mesh size m must be >= 3")
     # kernel values q((i - j) d) for all lags of the uniform mesh
     lags = np.arange(-(m - 1), m) * (2.0 * z / (m - 1))
     qv = convolve(lags, UNIT_ATOM, V, params, "q", kernel, n_pairs)
@@ -176,8 +178,6 @@ def build_Q(z: float, V: float, params: ModelParams,
     plateau collocation points, columns the shape samples. Convolution
     structure: Q[i][j] / w_j depends on i - j only.
     """
-    if m < 3:
-        raise ValueError("mesh size m must be >= 3")
     if z <= 0:
         raise ValueError("z must be positive")
     return _q_matrix(z, m, V, params, kernel, n_pairs)

@@ -141,6 +141,16 @@ class TestConfigAndErrors:
     def test_missing_out(self):
         assert main(["wave", "--velocity", "0.5"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["wave", "--velocity", "-0.2"],
+        ["shape", "--velocity", "0.3", "--m", "2"],
+        ["simulate", "--sigma", "0.05", "--n", "1"],
+        ["threshold", "--mu", "-1"],
+    ])
+    def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_resonant_velocity_exit(self, tmp_path):
         rc = main(["wave", "--velocity", str(FIRST_RESONANCE_V),
                    "--out", str(tmp_path / "res")])

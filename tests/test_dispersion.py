@@ -12,10 +12,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from fkwaves import (
-    Branch,
     ModelParams,
     ResonantVelocity,
-    classify_real_root,
     eval_L,
     eval_Lk,
     is_resonant,
@@ -82,10 +80,32 @@ class TestRealRoots:
 
     def test_radiation_side_above_first_resonance(self):
         # group velocity below the front speed puts the phonon behind
-        r = real_roots(0.5, P1)[0]
-        assert classify_real_root(r, 0.5, P1) is Branch.REAL_BEHIND
+        rs = root_set(0.5, P1)
+        assert len(rs.real_ahead) == 0 and len(rs.real_behind) == 1
+        r = rs.real_behind[0]
         cg = np.sin(r) / np.sqrt(1.0 + 4.0 * np.sin(r / 2.0) ** 2)
         assert cg < 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(mu=st.floats(0.2, 4.0), V=st.floats(0.05, 1.5))
+    def test_real_axis_invariants(self, mu, V):
+        p = ModelParams(mu, 0.0)
+        assume(not is_resonant(V, p))
+        rs = real_roots(V, p)
+        assert len(rs) == _scan_real_root_count(V, p)
+        assert np.all(np.diff(rs) > 0) and np.all(rs > 0)
+        assert np.max(np.abs(eval_L(rs, V, p)), initial=0.0) < ROOT_TOL
+        # the radiation sides partition the roots by the sign of k L_k
+        roots = root_set(V, p, 20)
+        assert np.array_equal(
+            np.sort(np.concatenate([roots.real_ahead, roots.real_behind])),
+            rs)
+        assert np.all(roots.real_ahead
+                      * eval_Lk(roots.real_ahead, V, p) > 0)
+        assert np.all(roots.real_behind
+                      * eval_Lk(roots.real_behind, V, p) < 0)
+        for v_res, _ in resonance_velocities(p, count=3):
+            assert is_resonant(v_res, p)
 
 
 class TestComplexRoots:
@@ -117,10 +137,10 @@ class TestComplexRoots:
             assert_allclose(sort(rs.lower), sort(np.conj(rs.upper)),
                             rtol=1e-12, atol=1e-12)
 
-    # Within about 3e-4 of a resonance the search raises RootCountMismatch
-    # although is_resonant is False, so V keeps RESONANCE_MARGIN from them;
-    # damping below about 1e-9 fails the same way.
-    RESONANCE_MARGIN = 1e-3
+    # V keeps RESONANCE_MARGIN, twice the is_resonant tolerance, from the
+    # resonances; damping at or below 1e-12 still makes the search raise
+    # RootCountMismatch, so alpha starts at 1e-6.
+    RESONANCE_MARGIN = 2e-5
 
     @settings(max_examples=40, deadline=None)
     @given(V=st.floats(0.12, 1.0),
@@ -143,6 +163,24 @@ class TestComplexRoots:
         assert np.all(rs.lower.imag < 0)
         if alpha == 0.0:
             assert np.array_equal(rs.lower, np.conj(rs.upper))
+
+    @pytest.mark.parametrize("n", [60, 400])
+    def test_root_set_beside_resonances(self, n):
+        # two real roots just below the winding contour's bottom edge turn
+        # the phase by 2 pi between two of its samples unless the edge is
+        # sampled above each real root
+        for v_res, _ in resonance_velocities(P1, count=4):
+            for dv in (-3e-4, -1e-4, -2e-5, 2e-5, 1e-4, 3e-4):
+                V = v_res + dv
+                if is_resonant(V, P1):
+                    continue
+                rs = root_set(V, P1, n)
+                for half in (rs.upper, rs.lower):
+                    assert len(half) in (n, n + 1)
+                    # a Newton step to the root below 1e-12 relative: one
+                    # ulp of a far root (|k| ~ 1e3) moves L by about 2e-8
+                    step = eval_L(half, V, P1) / eval_Lk(half, V, P1)
+                    assert np.all(np.abs(step) < 1e-12 * (1.0 + np.abs(half)))
 
 
 class TestResonances:
