@@ -1,8 +1,9 @@
 """Integrator backend selection.
 
-Prefers the compiled core; falls back to NumPy when the extension is absent
-or when FKWAVES_PURE_PYTHON is set (any non-empty value). Both expose the
-same run_chain and produce bit-identical trajectories.
+Prefers the compiled C core (_chain_core, BACKEND "c"); falls back to NumPy
+(BACKEND "numpy") when the extension is not built or when
+FKWAVES_PURE_PYTHON is set (any non-empty value). Both expose the same
+run_chain and produce bit-identical trajectories.
 """
 
 from __future__ import annotations

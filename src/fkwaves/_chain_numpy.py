@@ -1,8 +1,9 @@
 """Pure NumPy chain integrator; reference implementation.
 
-The compiled core in _chain_core is the same algorithm with the same
+The hand-written C core in _chain_core.c is the same algorithm with the same
 floating-point operation order (compiled with fused multiply-adds disabled),
-so trajectories from the two backends agree bit for bit.
+so trajectories from the two backends agree bit for bit. Keep the two in
+step: tests/test_backends.py checks the identity on random states.
 """
 
 from __future__ import annotations

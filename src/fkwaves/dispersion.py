@@ -42,6 +42,9 @@ AXIS_OFFSET = 5e-5
 SPLIT = 64
 # boundary refinement rounds of the winding count
 WINDING_ROUNDS = 40
+# smallest damping root_set accepts: below it the damped phonon roots sit
+# closer to the real axis than the search can tell apart from it
+MIN_DAMPING = 1e-10
 
 
 def eval_L(k, V: float, params: ModelParams):
@@ -312,8 +315,13 @@ def root_set(V: float, params: ModelParams,
     Each half plane holds n_pairs complex roots, or n_pairs + 1 where the
     cut would split a mirror pair (k, -conj k). For alpha = 0 the lower half
     is the conjugate of the upper; with damping the halves are searched
-    independently.
+    independently. Damping 0 < alpha < MIN_DAMPING raises ValueError.
     """
+    if 0.0 < params.alpha < MIN_DAMPING:
+        raise ValueError(
+            f"damping alpha = {params.alpha:g} is below the root search's "
+            f"floor MIN_DAMPING = {MIN_DAMPING:g}; use alpha = 0 for an "
+            "undamped chain")
     reals = real_roots(V, params) if params.alpha == 0.0 else np.array([])
     ahead = reals * eval_Lk(reals, V, params).real > 0.0
     upper = _half_plane_roots(V, params, n_pairs)

@@ -1,8 +1,21 @@
-"""Shared fixtures: canonical parameter sets and cached reference waves."""
+"""Shared fixtures: canonical parameter sets and cached reference waves.
+
+Before anything imports fkwaves, the compiled integrator core is built in
+place (setuptools recompiles only when the C source is newer than the built
+module), so the suite always tests the current core.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fkwaves import ModelParams, kinetic_wave
+subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+               cwd=Path(__file__).resolve().parent.parent,
+               capture_output=True)
+
+from fkwaves import ModelParams, kinetic_wave  # noqa: E402
 
 
 @pytest.fixture(scope="session")

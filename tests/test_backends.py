@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fkwaves import BACKEND, PURE_ENV_VAR
 from fkwaves import _chain_numpy
@@ -14,6 +15,9 @@ try:
     from fkwaves import _chain_core
 except ImportError:
     _chain_core = None
+
+needs_core = pytest.mark.skipif(_chain_core is None,
+                                reason="extension not built")
 
 
 def _trajectory(run_chain, n_steps):
@@ -26,10 +30,31 @@ def _trajectory(run_chain, n_steps):
     return u, v
 
 
+def _bits(a):
+    return a.view(np.uint64)
+
+
+@st.composite
+def chain_runs(draw):
+    """A noisy two-phase state with sites at exactly +0.0 and -0.0."""
+    n = draw(st.integers(3, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    u += draw(st.floats(0.0, 0.5)) * rng.standard_normal(n)
+    v = draw(st.floats(0.0, 0.5)) * rng.standard_normal(n)
+    sites = st.integers(1, n - 2)
+    u[draw(st.lists(sites, min_size=1, max_size=4))] = 0.0
+    u[draw(st.lists(sites, min_size=1, max_size=4))] = -0.0
+    alpha = draw(st.just(0.0) | st.floats(1e-3, 1.0))
+    args = (draw(st.floats(0.2, 4.0)), draw(st.floats(0.0, 0.3)), alpha,
+            draw(st.floats(1e-3, 0.05)), draw(st.integers(0, 3000)))
+    return u, v, args
+
+
 class TestSelection:
     def test_active_backend_is_compiled(self):
-        # the build installs the extension; absence would be a packaging bug
-        assert BACKEND == "cython"
+        # conftest builds the extension; absence would be a packaging bug
+        assert BACKEND == "c"
 
     def test_env_var_forces_numpy(self):
         code = ("import fkwaves; print(fkwaves.BACKEND)")
@@ -40,9 +65,42 @@ class TestSelection:
 
 
 class TestBitIdentity:
-    @pytest.mark.skipif(_chain_core is None, reason="extension not built")
+    @needs_core
     def test_trajectories_bit_identical(self):
         u_a, v_a = _trajectory(_chain_numpy.run_chain, 5000)
         u_b, v_b = _trajectory(_chain_core.run_chain, 5000)
         assert np.array_equal(u_a, u_b)
         assert np.array_equal(v_a, v_b)
+
+    @needs_core
+    @settings(max_examples=60, deadline=None)
+    @given(run=chain_runs())
+    def test_random_states_bit_identical(self, run):
+        u0, v0, args = run
+        u_a, v_a, u_b, v_b = u0.copy(), v0.copy(), u0.copy(), v0.copy()
+        _chain_numpy.run_chain(u_a, v_a, *args)
+        _chain_core.run_chain(u_b, v_b, *args)
+        assert np.array_equal(_bits(u_a), _bits(u_b))
+        assert np.array_equal(_bits(v_a), _bits(v_b))
+        ends = [0, -1]
+        assert np.array_equal(_bits(u_b[ends]), _bits(u0[ends]))
+        assert np.array_equal(_bits(v_b[ends]), _bits(v0[ends]))
+
+
+BAD_STATES = {
+    "mismatched lengths": lambda u, v: (u, v[:-1]),
+    "float32": lambda u, v: (u.astype(np.float32), v),
+    "strided view": lambda u, v: (np.repeat(u, 2)[::2], v),
+    "read-only": lambda u, v: (np.frombuffer(u.tobytes()), v),
+}
+
+
+class TestCoreArguments:
+    @needs_core
+    @pytest.mark.parametrize("bad", BAD_STATES.values(), ids=list(BAD_STATES))
+    def test_rejected_and_untouched(self, bad):
+        u, v = bad(np.linspace(1.0, -1.0, 12), np.full(12, 0.01))
+        before = u.copy(), v.copy()
+        with pytest.raises((TypeError, ValueError)):
+            _chain_core.run_chain(u, v, 1.0, 0.1, 0.0, 0.01, 10)
+        assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])

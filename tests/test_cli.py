@@ -151,6 +151,12 @@ class TestConfigAndErrors:
         assert main(args + ["--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_tiny_damping_is_usage_error(self, tmp_path, capsys):
+        rc = main(["wave", "--velocity", "0.3", "--alpha", "1e-12",
+                   "--out", str(tmp_path / "tiny")])
+        assert rc == 2
+        assert "MIN_DAMPING" in capsys.readouterr().err
+
     def test_resonant_velocity_exit(self, tmp_path):
         rc = main(["wave", "--velocity", str(FIRST_RESONANCE_V),
                    "--out", str(tmp_path / "res")])

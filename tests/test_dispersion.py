@@ -22,6 +22,7 @@ from fkwaves import (
     root_set,
     sigma_AC,
 )
+from fkwaves.dispersion import MIN_DAMPING
 
 FD_TOL = 1e-6
 ROOT_TOL = 1e-8
@@ -138,8 +139,8 @@ class TestComplexRoots:
                             rtol=1e-12, atol=1e-12)
 
     # V keeps RESONANCE_MARGIN, twice the is_resonant tolerance, from the
-    # resonances; damping at or below 1e-12 still makes the search raise
-    # RootCountMismatch, so alpha starts at 1e-6.
+    # resonances; root_set refuses damping below MIN_DAMPING, and alpha
+    # starts at 1e-6.
     RESONANCE_MARGIN = 2e-5
 
     @settings(max_examples=40, deadline=None)
@@ -163,6 +164,20 @@ class TestComplexRoots:
         assert np.all(rs.lower.imag < 0)
         if alpha == 0.0:
             assert np.array_equal(rs.lower, np.conj(rs.upper))
+
+    def test_tiny_damping_refused(self):
+        # below the floor the damped phonon roots are indistinguishable from
+        # the real axis; refuse instead of a misleading RootCountMismatch
+        with pytest.raises(ValueError, match="MIN_DAMPING"):
+            root_set(0.3, ModelParams(1.0, 1e-12), 60)
+
+    @pytest.mark.parametrize("V", [0.2, 0.3, 0.5])
+    def test_min_damping_accepted(self, V):
+        p = ModelParams(1.0, MIN_DAMPING)
+        rs = root_set(V, p, 60)
+        for half in (rs.upper, rs.lower):
+            assert len(half) in (60, 61)
+            assert np.max(np.abs(eval_L(half, V, p))) < 1e-8
 
     @pytest.mark.parametrize("n", [60, 400])
     def test_root_set_beside_resonances(self, n):
