@@ -9,9 +9,11 @@ Sigma(V), and the wave is admissible when U keeps the sign pattern
 U > 0 behind the front and U < 0 ahead of it.
 
 Two independent evaluation routes are provided: residue sums over a truncated
-root set (U_profile, kernel_q) and principal-value quadrature with analytic
-tails (U_integral, q_integral). They cross-validate each other; the
-quadrature route is the accuracy workhorse for the kernel-based solvers.
+root set (U_profile, kernel_q) and contour quadrature with analytic tails
+(U_integral, q_integral), whose contour passes each root at the real axis
+by an arc on the side the radiation condition picks. They cross-validate
+each other; the quadrature route is the accuracy workhorse for the
+kernel-based solvers.
 
 Both routes meet in one function, convolve, which sums U or q over a
 discrete measure of atoms (s_j, a_j). U_profile and kernel_q are the unit
@@ -37,9 +39,9 @@ from .dispersion import (
     root_set,
     DEFAULT_N_PAIRS,
 )
-from .errors import QuadratureFail, RootCountMismatch
+from .errors import QuadratureFail, RootCountMismatch, TruncationWarning
 from .params import ModelParams
-from .quadrature import KFAC, build_panels, pv_panel_integral, tail_integral
+from .quadrature import KFAC, build_panels, tail_integral
 
 # imaginary residue of analytically real sums beyond this means bad roots
 REALNESS_TOL = 1e-9
@@ -113,7 +115,6 @@ def _branch_terms(V: float, params: ModelParams, n_pairs: int):
 def _truncation_check(V: float, params: ModelParams, n_pairs: int,
                       plus0: float, minus0: float, what: str) -> None:
     if abs(plus0 - minus0) > TRUNCATION_TOL:
-        from .errors import TruncationWarning
         warnings.warn(
             f"{what} branch mismatch {abs(plus0 - minus0):.2e} at xi=0 with "
             f"n_pairs={n_pairs}; increase n_pairs",
@@ -234,13 +235,17 @@ def kernel_q(xi, V: float, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 class KernelQuadrature:
-    """Principal-value quadrature evaluator for q(xi) and U(xi).
+    """Contour quadrature evaluator for q(xi) and U(xi).
 
     Both are parts of one contour integral of e^{ik xi} / (k^p L(k)) over
     (0, inf): q the real part at p = 0, U the imaginary part at p = 1 plus
-    sigma. The contour is a principal value along the real axis with
-    half-residue indentations at the real roots (alpha = 0) or arcs around
-    damped roots near the axis (alpha > 0), and its oscillatory tail is
+    sigma. The contour is the alpha -> 0+ limit of the damped one for every
+    alpha, so the radiation condition has one rule: every root at the axis
+    is passed by a semicircular arc on its far side. A small damping moves
+    a real root r by i alpha V r / L_k(r), so a phonon radiating ahead
+    (r L_k > 0) counts as above the axis and is passed below, one radiating
+    behind is passed above, and a damped root within POLE_BAND of the axis
+    is passed on the side away from its Im k. The oscillatory tail is
     integrated analytically. Construction checks q against a refined panel
     grid and raises QuadratureFail if the two disagree beyond QUAD_SELF_TOL.
     """
@@ -255,14 +260,9 @@ class KernelQuadrature:
         self.params = params
         K = KFAC * np.sqrt(params.mu + 4.0) / V
         roots = root_set(V, params, 60)
-        self.rs = np.sort(np.concatenate([roots.real_ahead, roots.real_behind]))
-        self.lkv = eval_Lk(self.rs, V, params).real
-        self.cls = np.sign(self.rs * self.lkv)
-        self._refine, self._arcs = (), ()
-        if params.alpha == 0.0:
-            self._refine = self._plan_refine(roots, K)
-        else:
-            self._arcs = self._plan_arcs(roots, K)
+        damped = params.alpha > 0.0
+        self._refine = () if damped else self._plan_refine(roots, K)
+        self._arcs = self._plan_arcs(roots, K, damped)
         self._grid = self._make_grid(K, 1.0, 0)
         probe = np.array([0.0, 0.37, 1.0, -2.2])
         fine = self._integral(probe, 0, self._make_grid(K, 0.5, 8))
@@ -277,8 +277,9 @@ class KernelQuadrature:
         """Extra panel edges under complex pairs that pinch the real axis.
 
         Just past a resonance a conjugate pair sits at distance |Im k| << 1
-        from the contour; the integrand stays smooth on the axis but peaks
-        with that width, so panels are shrunk to match it.
+        from the contour, which passes between the two; the integrand stays
+        smooth on the axis but peaks with that width, so panels are shrunk
+        to match it.
         """
         found: dict[float, float] = {}
         for k in roots.upper:
@@ -289,61 +290,66 @@ class KernelQuadrature:
         return tuple(sorted(found.items()))
 
     @staticmethod
-    def _plan_arcs(roots, K: float):
-        """Indentation arcs around damped roots that hug the real axis."""
-        near = [k for k in np.concatenate([roots.upper, roots.lower])
-                if abs(k.imag) < KernelQuadrature.POLE_BAND
-                and 0.3 < k.real < K - 1.0]
-        near.sort(key=lambda k: abs(k.imag))
-        arcs: list[tuple[float, float, int]] = []
-        for k in near:
-            rho = KernelQuadrature.ARC_RHO
-            for xc, r0, _ in arcs:
-                gap = abs(k.real - xc)
-                if gap < rho + r0:
-                    rho = -1.0  # overlaps an accepted arc; that arc covers it
-                    break
-                rho = min(rho, gap / 3.0)
-            if rho > 0:
-                arcs.append((float(k.real), rho, 1 if k.imag < 0 else -1))
+    def _plan_arcs(roots, K: float, damped: bool):
+        """One arc (center, rho, side) per root at the axis.
+
+        Undamped, the roots are the real ones; damped, those within
+        POLE_BAND of the axis with 0.3 < Re k < K - 1. Each arc is centred
+        on its root's point of the axis. Its radius is ARC_RHO or a third of
+        the distance from that centre to the nearest other centre or other
+        near-axis complex root, whichever is smaller, so the disks are
+        disjoint and none holds a foreign root.
+        """
+        near = np.concatenate([roots.upper, roots.lower])
+        near = near[np.abs(near.imag) < KernelQuadrature.POLE_BAND]
+        if damped:
+            on = (0.3 < near.real) & (near.real < K - 1.0)
+            poles, foreign = near[on], near[~on]
+            xc, side = poles.real, np.where(poles.imag < 0.0, 1, -1)
+        else:
+            xc = np.concatenate([roots.real_ahead, roots.real_behind])
+            side = np.repeat([-1, 1], [roots.real_ahead.size,
+                                       roots.real_behind.size])
+            foreign = near
+        others = np.concatenate([xc, foreign])
+        arcs = []
+        for i, c in enumerate(xc):
+            gap = np.abs(np.delete(others, i) - c)
+            rho = min(KernelQuadrature.ARC_RHO,
+                      np.min(gap, initial=np.inf) / 3.0)
+            arcs.append((float(c), float(rho), int(side[i])))
         return tuple(sorted(arcs))
 
     def _make_grid(self, K: float, refine: float, extra_order: int):
-        """The panel grid and L(k) at its nodes."""
-        grid = build_panels(K, tuple(self.rs), width=1.5 * refine,
-                            order=24 + extra_order, refine=self._refine,
-                            arcs=self._arcs)
-        L = eval_L(grid.nodes, self.V, self.params)
-        return grid, L.real if self.params.alpha == 0.0 else L
+        """Panel nodes, weights / L(k) at them, the count of leading nodes
+        that carry the integrand in real arithmetic (undamped, the on-axis
+        nodes, where L is real) and the panels' end K."""
+        grid = build_panels(K, width=1.5 * refine, order=24 + extra_order,
+                            refine=self._refine, arcs=self._arcs)
+        k = grid.nodes
+        n = 0 if self.params.alpha > 0.0 else np.count_nonzero(k.imag == 0.0)
+        return k, grid.weights / eval_L(k, self.V, self.params), n, grid.K
 
     def _integral(self, xi: np.ndarray, p: int, grid=None) -> np.ndarray:
         """Part p of the contour integral of e^{ik xi} / (k^p L(k)) dk.
 
-        The real part for p = 0 and the imaginary part for p = 1. Undamped,
-        the panels carry only that part, cos or sin(k xi) / (k^p L), and the
-        real roots r enter as principal-value poles plus the half residues
-        i pi cls e^{ir xi} / (r^p L_k(r)). Points go in blocks of ROW_BLOCK.
-        grid is a (panels, L) pair from _make_grid, by default the kernel's.
+        The real part for p = 0 and the imaginary part for p = 1. The
+        first n nodes carry only that part, cos or sin(k xi) / (k^p L), in
+        real arithmetic; the others carry e^{ik xi} / (k^p L). Points go in
+        blocks of ROW_BLOCK. grid is a tuple from _make_grid, by default
+        the kernel's.
         """
         part = (np.real, np.imag)[p]
-        grid, L = grid or self._grid
-        den = grid.nodes**p * L
-        res = self.rs**p * self.lkv
+        k, c, n, K = grid or self._grid
+        c = c / k**p
+        kr, cr = k[:n].real, c[:n].real
         out = np.empty(xi.shape)
         for lo in range(0, xi.size, ROW_BLOCK):
             x = xi[lo:lo + ROW_BLOCK]
-            e = np.exp(1j * np.outer(x, self.rs))
-            if self.params.alpha == 0.0:
-                f = (np.cos, np.sin)[p](np.outer(x, grid.nodes))
-                f /= den
-                body = pv_panel_integral(grid, f, self.rs, part(e) / res)
-            else:
-                f = np.exp(1j * np.outer(x, grid.nodes))
-                f /= den
-                body = part(f @ grid.weights)
-            tail = tail_integral(x, self.V, self.params, grid.K, extra_p=p)
-            out[lo:lo + ROW_BLOCK] = body + part(
-                tail + (1j * np.pi) * (e @ (self.cls / res)))
+            out[lo:lo + ROW_BLOCK] = \
+                (np.cos, np.sin)[p](np.outer(x, kr)) @ cr + part(
+                    np.exp(1j * np.outer(x, k[n:])) @ c[n:]
+                    + tail_integral(x, self.V, self.params, K, extra_p=p))
         return out
 
     def q(self, xi) -> np.ndarray:
@@ -365,9 +371,9 @@ def quad_kernel(V: float, params: ModelParams) -> KernelQuadrature:
 def U_integral(xi, V: float, params: ModelParams):
     """Quadrature evaluation of U(xi) at sigma = Sigma(V).
 
-    Independent of the residue route: principal-value panels over [0, K]
-    with half-residue phonon corrections, plus an asymptotic tail. Serves
-    as the oracle for U_profile.
+    Independent of the residue route: panels over [0, K] with an arc past
+    each root at the axis on its alpha -> 0+ side, plus an analytic tail.
+    Serves as the oracle for U_profile.
     """
     qk = quad_kernel(V, params)
     sigma = sigma_AC(V, params)

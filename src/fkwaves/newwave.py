@@ -156,19 +156,6 @@ def _trapezoid(mesh: np.ndarray) -> np.ndarray:
     return w
 
 
-def _q_matrix(z: float, m: int, V: float, params: ModelParams,
-              kernel: str, n_pairs: int) -> np.ndarray:
-    if m < 3:
-        raise ValueError("mesh size m must be >= 3")
-    # kernel values q((i - j) d) for all lags of the uniform mesh
-    lags = np.arange(-(m - 1), m) * (2.0 * z / (m - 1))
-    qv = convolve(lags, UNIT_ATOM, V, params, "q", kernel, n_pairs)
-    w = _trapezoid(np.linspace(-z, z, m))
-    idx = np.arange(m)
-    Q = qv[(idx[:, None] - idx[None, :]) + m - 1]
-    return Q * w[None, :]
-
-
 def build_Q(z: float, V: float, params: ModelParams,
             m: int = DEFAULT_MESH, kernel: str = "quad",
             n_pairs: int = DEFAULT_N_PAIRS) -> np.ndarray:
@@ -178,9 +165,17 @@ def build_Q(z: float, V: float, params: ModelParams,
     plateau collocation points, columns the shape samples. Convolution
     structure: Q[i][j] / w_j depends on i - j only.
     """
+    if m < 3:
+        raise ValueError("mesh size m must be >= 3")
     if z <= 0:
         raise ValueError("z must be positive")
-    return _q_matrix(z, m, V, params, kernel, n_pairs)
+    # kernel values q((i - j) d) for all lags of the uniform mesh
+    lags = np.arange(-(m - 1), m) * (2.0 * z / (m - 1))
+    qv = convolve(lags, UNIT_ATOM, V, params, "q", kernel, n_pairs)
+    w = _trapezoid(np.linspace(-z, z, m))
+    idx = np.arange(m)
+    Q = qv[(idx[:, None] - idx[None, :]) + m - 1]
+    return Q * w[None, :]
 
 
 def _logdet_sign(Q: np.ndarray) -> tuple[float, float]:
@@ -201,16 +196,16 @@ def find_z(V: float, params: ModelParams,
     the determinant keeps one sign across the scanned range.
     """
     require_nonresonant(V, params)
-    args = (V, params, kernel, n_pairs)
+    args = (V, params, m, kernel, n_pairs)
     zs = np.linspace(z_range[0], z_range[1], Z_SCAN_POINTS)
-    signs = np.array([_logdet_sign(_q_matrix(z, m, *args))[0] for z in zs])
+    signs = np.array([_logdet_sign(build_Q(z, *args))[0] for z in zs])
     out: list[float] = []
     for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
         a, b = zs[i], zs[i + 1]
         sa = signs[i]
         while b - a > Z_BISECT_TOL:
             c = 0.5 * (a + b)
-            if _logdet_sign(_q_matrix(c, m, *args))[0] == sa:
+            if _logdet_sign(build_Q(c, *args))[0] == sa:
                 a = c
             else:
                 b = c

@@ -1,4 +1,4 @@
-"""Principal-value panel quadrature and analytic tails for profile integrals.
+"""Panel quadrature with contour arcs and analytic tails for profile integrals.
 
 All profile and kernel integrals in this package are parts of
 
@@ -6,19 +6,18 @@ All profile and kernel integrals in this package are parts of
 
 whose integrand has simple poles at the positive real roots of L
 (alpha = 0) or damped roots close to the axis (alpha > 0) and decays like
-k^{-p-2}. One panel grid covers [0, K]: Gauss-Legendre panels with edges
-pinned to real poles, which are removed by subtraction (principal value),
-and optional semicircular arcs that detour around damped poles. The tail
-[K, inf) is closed-form: 1/L expands in terms e^{ijk} / k^p, and one pass
-integrates all of them, stacking every shift j into one call of
-exp_tail_integrals. There each point runs one continued fraction, at a
-pivot order from which the recurrence between orders is stable both
-downward and upward, and the recurrence fills the other orders.
+k^{-p-2}. One panel grid covers [0, K]: Gauss-Legendre panels along the
+real axis, and semicircular arcs that carry the contour past the poles at
+the axis on whichever side the caller picks. The tail [K, inf) is
+closed-form: 1/L expands in terms e^{ijk} / k^p, and one pass integrates
+all of them, stacking every shift j into one call of exp_tail_integrals.
+There each point runs one continued fraction, at a pivot order from which
+the recurrence between orders is stable both downward and upward, and the
+recurrence fills the other orders.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,44 +56,26 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(order)
 
 
-def build_panels(K: float, poles: tuple[float, ...] = (),
-                 width: float = PANEL_WIDTH,
+def build_panels(K: float, width: float = PANEL_WIDTH,
                  order: int = GAUSS_ORDER,
                  refine: tuple[tuple[float, float], ...] = (),
                  arcs: tuple[tuple[float, float, int], ...] = ()) -> PanelGrid:
-    """Panels from 0 to K with edges pinned to the poles.
+    """Panels from 0 to K, graded towards the refine centres and the arcs.
 
-    Each pole becomes a panel edge (Gauss nodes are interior, so no node can
-    collide with it) and gets geometrically shrinking neighbor panels, which
-    keeps the pole-subtracted integrand resolved even when two poles are close.
     refine entries (center, scale) add edges at center +- scale * powers of
-    two without any pole subtraction; they resolve sharp but smooth peaks,
-    e.g. a complex pole pair pinching the axis just past a resonance.
-    arcs entries (center, rho, side) replace the segment
-    (center - rho, center + rho) by a semicircle that bulges up for side +1
-    (passing above a pole below the axis) and down for side -1.
+    two; they resolve sharp but smooth peaks, e.g. a complex pole pair
+    pinching the axis just past a resonance. arcs entries (center, rho, side)
+    replace the segment (center - rho, center + rho) by a semicircle that
+    bulges up for side +1 (passing above a pole) and down for side -1, and
+    grade the panels beside it in the same way with scale rho. The on-axis
+    nodes come first, then the arcs' nodes.
     """
     edges = set(np.linspace(0.0, K, int(np.ceil(K / width)) + 1).tolist())
-    ps = sorted(poles)
-    for i, r in enumerate(ps):
-        gaps = [r, K - r]
-        if i > 0:
-            gaps.append(0.5 * (r - ps[i - 1]))
-        if i + 1 < len(ps):
-            gaps.append(0.5 * (ps[i + 1] - r))
-        s = min(1.0, *gaps)
-        edges.add(r)
-        for f in (0.02, 0.1, 0.35):
-            edges.add(r - s * f)
-            edges.add(r + s * f)
-    for xc, scale in refine:
+    for xc, scale in tuple(refine) + tuple((xc, rho) for xc, rho, _ in arcs):
         edges.add(xc)
         for f in (0.5, 1.0, 2.0, 4.0, 8.0):
             edges.add(xc - scale * f)
             edges.add(xc + scale * f)
-    for xc, rho, _ in arcs:
-        edges.add(xc - rho)
-        edges.add(xc + rho)
     es = np.array(sorted(e for e in edges if 0.0 <= e <= K))
     es = es[np.concatenate([[True], np.diff(es) > 1e-9])]
     x, w = _gauss_rule(order)
@@ -114,42 +95,6 @@ def build_panels(K: float, poles: tuple[float, ...] = (),
         weights.append(1j * rho * e * (0.5 * (t1 - t0) * w))
     return PanelGrid(nodes=np.concatenate(nodes),
                      weights=np.concatenate(weights), K=float(es[-1]))
-
-
-def pv_panel_integral(grid: PanelGrid, f_nodes: np.ndarray,
-                      poles: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """Principal value of integral_0^K f(k) dk, poles r_j with residues c_j.
-
-    f_nodes has shape (n_xi, n_nodes), strengths (n_xi, n_poles); f_nodes is
-    overwritten, since the subtraction works on it in place. Subtracted
-    form: near its closest pole the difference f - c/(k - r) is assembled as
-    (f*(k-r) - c) / (k-r), with f*(k-r) evaluated as f_nodes * (k-r); the
-    remaining poles are far enough for plain subtraction. The subtracted
-    c_j/(k-r_j) integrate to c_j log((K-r_j)/r_j).
-    """
-    k = grid.nodes
-    if len(poles):
-        D = k[None, :] - poles[:, None]            # (n_poles, n_nodes)
-        jstar = np.argmin(np.abs(D), axis=0)       # (n_nodes,)
-        inv = 1.0 / D                              # all |D| > 0 by construction
-        d_inv = inv[jstar, np.arange(k.size)][None, :]
-        c_star = strengths[:, jstar]
-        # remove the naive nearest-pole term, add back the grouped version:
-        # f <- ((f - full + c*/d*) * d* - c*) / d*
-        f_nodes -= strengths @ inv
-        f_nodes += c_star * d_inv
-        f_nodes /= d_inv
-        f_nodes -= c_star
-        f_nodes *= d_inv
-    out = f_nodes @ grid.weights
-    for r, c in zip(poles, strengths.T):
-        out = out + c * math.log((grid.K - r) / r)
-    return out
-
-
-def panel_integral(grid: PanelGrid, f_nodes: np.ndarray) -> np.ndarray:
-    """Plain integral_0^K f(k) dk for pole-free integrands."""
-    return f_nodes @ grid.weights
 
 
 # ---------------------------------------------------------------------------

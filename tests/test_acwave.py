@@ -1,6 +1,6 @@
 """Classical smoothened waves: kinetic relation, profiles, admissibility.
 
-The two independent evaluation routes (residue series and principal-value
+The two independent evaluation routes (residue series and contour
 quadrature) cross-validate each other, and the profile is pushed back
 through the traveling-frame equation it is supposed to solve.
 """
@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fkwaves import (
     ModelParams,
@@ -21,6 +22,8 @@ from fkwaves import (
     q_integral,
     sigma_AC,
 )
+from fkwaves.acwave import KernelQuadrature
+from fkwaves.dispersion import is_resonant
 
 # frozen module outputs; guard against silent drift of either route
 SIGMA_V05 = 0.13365213078946997
@@ -109,6 +112,30 @@ class TestDualRoute:
     def test_branch_average_at_zero(self, params):
         assert U_integral(0.0, 0.5, params) == pytest.approx(0.0, abs=1e-12)
         assert U_integral(0.0, 0.2, params) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestTwoRouteKernel:
+    # the contour's arcs against the residue route, which knows nothing of
+    # them; an arc on the wrong side of a root moves q by O(1)
+    XI = np.array([-5.5, -2.2, -0.7, 0.7, 2.2, 5.5])
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("V,alpha", [
+        (0.2443848, 0.0), (0.1572026, 0.0), (0.1021824, 0.0),
+        (0.2444268, 1e-3), (0.1439301, 1e-3)])
+    def test_builds_beside_resonances(self, V, alpha):
+        p = ModelParams(1.0, alpha)
+        qk = KernelQuadrature(V, p)
+        assert np.abs(qk.q(self.XI) - kernel_q(self.XI, V, p)).max() < self.TOL
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(V=st.floats(0.12, 1.0),
+           alpha=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)))
+    def test_agrees_at_random_velocities(self, V, alpha):
+        p = ModelParams(1.0, alpha)
+        assume(not is_resonant(V, p))
+        qk = KernelQuadrature(V, p)
+        assert np.abs(qk.q(self.XI) - kernel_q(self.XI, V, p)).max() < self.TOL
 
 
 class TestKernelDerivative:

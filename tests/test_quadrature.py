@@ -1,4 +1,4 @@
-"""Panel quadrature, principal-value subtraction, and analytic tails.
+"""Panel quadrature, contour arcs past poles, and analytic tails.
 
 Every assertion here is checked against scipy.integrate.quad (with cauchy /
 oscillatory weights) or a closed form, never against the module itself.
@@ -15,8 +15,6 @@ from fkwaves.dispersion import eval_L
 from fkwaves.quadrature import (
     build_panels,
     exp_tail_integrals,
-    panel_integral,
-    pv_panel_integral,
     tail_integral,
 )
 
@@ -29,19 +27,19 @@ P_MAX = 49
 
 class TestPanels:
     def test_weights_integrate_constants(self):
-        grid = build_panels(37.0, poles=(4.2, 11.5))
-        assert grid.nodes.min() > 0.0
-        assert grid.nodes.max() < 37.0
+        # by Cauchy the path from 0 to K integrates 1 to K, arcs or not
+        grid = build_panels(37.0, arcs=((4.2, 0.08, -1), (11.5, 0.05, 1)))
+        assert grid.nodes.real.min() > 0.0
+        assert grid.nodes.real.max() < 37.0
         assert np.sum(grid.weights) == pytest.approx(37.0, abs=1e-9)
 
     def test_no_node_on_a_pole(self):
-        grid = build_panels(20.0, poles=(5.0,))
-        assert np.min(np.abs(grid.nodes - 5.0)) > 1e-12
+        grid = build_panels(20.0, arcs=((5.0, 0.08, 1),))
+        assert np.min(np.abs(grid.nodes - 5.0)) > 0.08 - 1e-12
 
     def test_plain_integral_of_cosine(self):
         grid = build_panels(25.0)
-        vals = np.cos(grid.nodes)[None, :]
-        assert panel_integral(grid, vals)[0] == pytest.approx(
+        assert np.cos(grid.nodes) @ grid.weights == pytest.approx(
             np.sin(25.0), abs=1e-11)
 
     def test_arcs_detour_and_keep_integrals(self):
@@ -51,7 +49,7 @@ class TestPanels:
         arc = grid.nodes[grid.nodes.imag != 0.0]
         assert arc.size == 48
         assert np.all((arc.imag > 0.0) == (np.abs(arc - 6.0) < 0.081))
-        got = panel_integral(grid, np.exp(1j * grid.nodes)[None, :])[0]
+        got = np.exp(1j * grid.nodes) @ grid.weights
         assert got == pytest.approx((np.exp(25j) - 1.0) / 1j, abs=1e-12)
 
     def test_refine_concentrates_nodes(self):
@@ -61,36 +59,37 @@ class TestPanels:
         assert near(fine) > near(base)
 
 
-class TestPrincipalValue:
+class TestArcsPastPoles:
+    # an arc below a pole (side -1) gives the principal value plus
+    # i pi times the residue, an arc above it (side +1) minus that
+    @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
     @pytest.mark.parametrize("r", [3.7, 9.2])
-    def test_cosine_over_simple_pole(self, r):
+    def test_cosine_past_simple_pole(self, r, side):
         K = 30.0
-        grid = build_panels(K, poles=(r,))
-        f = (np.cos(grid.nodes) / (grid.nodes - r))[None, :]
-        strengths = np.array([[np.cos(r)]])
-        got = pv_panel_integral(grid, f, np.array([r]), strengths)[0]
-        want = quad(np.cos, 0.0, K, weight="cauchy", wvar=r,
-                    limit=400)[0]
-        assert got == pytest.approx(want, abs=PV_TOL)
+        grid = build_panels(K, arcs=((r, 0.08, side),))
+        got = (np.cos(grid.nodes) / (grid.nodes - r)) @ grid.weights
+        pv = quad(np.cos, 0.0, K, weight="cauchy", wvar=r, limit=400)[0]
+        assert got == pytest.approx(pv - side * 1j * np.pi * np.cos(r),
+                                    abs=PV_TOL)
 
     def test_two_poles(self):
         K = 30.0
-        poles = np.array([4.0, 6.0])
-        grid = build_panels(K, poles=tuple(poles))
+        grid = build_panels(K, arcs=((4.0, 0.08, 1), (6.0, 0.08, -1)))
 
         def g(k):
             return np.sin(k + 0.3)
 
-        f = (g(grid.nodes) / ((grid.nodes - 4.0) * (grid.nodes - 6.0)))
-        # residues of f at each pole
-        c = np.array([[g(4.0) / (4.0 - 6.0), g(6.0) / (6.0 - 4.0)]])
-        got = pv_panel_integral(grid, f[None, :], poles, c)[0]
+        k = grid.nodes
+        got = (g(k) / ((k - 4.0) * (k - 6.0))) @ grid.weights
+        # residues at 4 and 6, passed above and below
+        c4, c6 = g(4.0) / (4.0 - 6.0), g(6.0) / (6.0 - 4.0)
         # oracle: split the domain between the poles so each piece holds one
         w1 = quad(lambda k: g(k) / (k - 6.0), 0.0, 5.0, weight="cauchy",
                   wvar=4.0, limit=400)[0]
         w2 = quad(lambda k: g(k) / (k - 4.0), 5.0, K, weight="cauchy",
                   wvar=6.0, limit=400)[0]
-        assert got == pytest.approx(w1 + w2, abs=1e-8)
+        assert got == pytest.approx(w1 + w2 - 1j * np.pi * (c4 - c6),
+                                    abs=1e-8)
 
 
 class TestExpTails:
