@@ -45,7 +45,8 @@ from .quadrature import KFAC, build_panels, tail_integral
 
 # imaginary residue of analytically real sums beyond this means bad roots
 REALNESS_TOL = 1e-9
-# one-sided branch disagreement at xi = 0 beyond this suggests n_pairs too low
+# one-sided branch disagreement at xi = 0 beyond this means the residue
+# series of DEFAULT_N_PAIRS root pairs is too short
 TRUNCATION_TOL = 1e-4
 # admissibility sampling
 ADMISSIBLE_RANGE = 40.0
@@ -79,32 +80,31 @@ def _real_checked(values: np.ndarray, what: str):
     return values.real
 
 
-def sigma_AC(V: float, params: ModelParams,
-             n_pairs: int = DEFAULT_N_PAIRS) -> float:
+def sigma_AC(V: float, params: ModelParams) -> float:
     """Kinetic relation Sigma(V) of the classical branch.
 
     For alpha = 0 this is the phonon sum 2 mu sum_{r>0} 1/|r L_k(r)| over
     positive real roots (both signs of each root contribute equally). For
     alpha > 0 no real roots exist and sigma is fixed by continuity U(0) = 0,
     which resolves to mu (S_plus - S_minus) with S_pm the residue sums
-    1/(k L_k) over the upper/lower half-plane roots. The recipes agree in
-    the alpha -> 0 limit.
+    1/(k L_k) over the DEFAULT_N_PAIRS upper/lower half-plane roots of
+    root_set. The recipes agree in the alpha -> 0 limit.
     """
     require_nonresonant(V, params)
     if params.alpha == 0.0:
         rs = real_roots(V, params)
         return 2.0 * params.mu * float(np.sum(
             1.0 / np.abs(rs * eval_Lk(rs, V, params).real)))
-    roots = root_set(V, params, n_pairs)
+    roots = root_set(V, params)
     s_plus = np.sum(1.0 / (roots.upper * eval_Lk(roots.upper, V, params)))
     s_minus = np.sum(1.0 / (roots.lower * eval_Lk(roots.lower, V, params)))
     sig = params.mu * (s_plus - s_minus)
     return float(_real_checked(np.array([sig]), "sigma residue sum")[0])
 
 
-def _branch_terms(V: float, params: ModelParams, n_pairs: int):
+def _branch_terms(V: float, params: ModelParams):
     """Residue data for the two one-sided representations."""
-    roots = root_set(V, params, n_pairs)
+    roots = root_set(V, params)
     kp = np.concatenate([roots.upper, roots.real_ahead.astype(complex),
                          -roots.real_ahead.astype(complex)])
     km = np.concatenate([roots.lower, roots.real_behind.astype(complex),
@@ -112,13 +112,13 @@ def _branch_terms(V: float, params: ModelParams, n_pairs: int):
     return kp, eval_Lk(kp, V, params), km, eval_Lk(km, V, params)
 
 
-def _truncation_check(V: float, params: ModelParams, n_pairs: int,
-                      plus0: float, minus0: float, what: str) -> None:
+def _truncation_check(V: float, plus0: float, minus0: float,
+                      what: str) -> None:
     if abs(plus0 - minus0) > TRUNCATION_TOL:
         warnings.warn(
-            f"{what} branch mismatch {abs(plus0 - minus0):.2e} at xi=0 with "
-            f"n_pairs={n_pairs}; increase n_pairs",
-            TruncationWarning, stacklevel=3)
+            f"{what} branch mismatch {abs(plus0 - minus0):.2e} at xi=0: the "
+            f"residue series of {DEFAULT_N_PAIRS} root pairs is too short "
+            f"at V={V}", TruncationWarning, stacklevel=3)
 
 
 def _one_sided_sum(x, k, coef, sums, what: str) -> np.ndarray:
@@ -141,7 +141,7 @@ def _partial_sums(v: np.ndarray, side: str) -> np.ndarray:
 
 
 def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
-             method: str = "residue", n_pairs: int = DEFAULT_N_PAIRS):
+             method: str = "residue"):
     """sum_j a_j f(xi - s_j) for f = U (at sigma = Sigma(V)) or f = q.
 
     atoms = (s, a) is a discrete measure: positions s_j in ascending order,
@@ -167,16 +167,15 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     if method == "quad":
         qk = quad_kernel(V, params)
         lags = (xi[:, None] - s[None, :]).ravel()
-        vals = qk.q(lags) if kind == "q" else \
-            qk.U(lags, sigma_AC(V, params, n_pairs))
+        vals = qk.q(lags) if kind == "q" else qk.U(lags)
         return vals.reshape(len(xi), len(s)) @ a
     if method != "residue":
         raise ValueError(f"unknown kernel method {method!r}")
     require_nonresonant(V, params)
-    kp, lkp, km, lkm = _branch_terms(V, params, n_pairs)
+    kp, lkp, km, lkm = _branch_terms(V, params)
     mu2 = 2.0 * params.mu
     if kind == "U":
-        sigma = sigma_AC(V, params, n_pairs)
+        sigma = sigma_AC(V, params)
         sides = (("plus", kp, 1.0 / (kp * lkp), sigma - 1.0, -mu2),
                  ("minus", km, 1.0 / (km * lkm), sigma + 1.0, mu2))
     else:
@@ -199,7 +198,7 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
         p0, m0 = (const + scale * _one_sided_sum(
             np.zeros(1), k, coef, None, f"{kind} {side} branch")[0]
             for side, k, coef, const, scale in sides)
-        _truncation_check(V, params, n_pairs, p0, m0,
+        _truncation_check(V, p0, m0,
                           "U_profile" if kind == "U" else "kernel_q")
         mass = _partial_sums(a, "plus")
         out[on_atom] += (mass[above] - mass[below])[on_atom] \
@@ -211,23 +210,24 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
 UNIT_ATOM = (np.zeros(1), np.ones(1))
 
 
-def U_profile(xi, V: float, params: ModelParams,
-              n_pairs: int = DEFAULT_N_PAIRS):
+def U_profile(xi, V: float, params: ModelParams):
     """Two-branch residue form of the wave profile U(xi) at sigma = Sigma(V).
 
     xi > 0 sums over upper-half roots and ahead-radiating phonons, xi < 0
     over their lower/behind partners; at xi = 0 both branches analytically
     give 0 and the average is returned (their mismatch measures truncation).
     """
-    out = convolve(xi, UNIT_ATOM, V, params, "U", "residue", n_pairs)
-    return out if out.size > 1 else float(out[0])
+    return _shaped(xi, convolve(xi, UNIT_ATOM, V, params, "U"))
 
 
-def kernel_q(xi, V: float, params: ModelParams,
-             n_pairs: int = DEFAULT_N_PAIRS):
+def kernel_q(xi, V: float, params: ModelParams):
     """Residue form of the kernel q(xi) = -U'(xi); continuous at xi = 0."""
-    out = convolve(xi, UNIT_ATOM, V, params, "q", "residue", n_pairs)
-    return out if out.size > 1 else float(out[0])
+    return _shaped(xi, convolve(xi, UNIT_ATOM, V, params, "q"))
+
+
+def _shaped(xi, out: np.ndarray):
+    """A float for scalar xi, else the array of values."""
+    return float(out[0]) if np.ndim(xi) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +235,26 @@ def kernel_q(xi, V: float, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 class KernelQuadrature:
-    """Contour quadrature evaluator for q(xi) and U(xi).
+    """Contour quadrature evaluator for q(xi) and U(xi) at sigma = Sigma(V).
 
     Both are parts of one contour integral of e^{ik xi} / (k^p L(k)) over
     (0, inf): q the real part at p = 0, U the imaginary part at p = 1 plus
-    sigma. The contour is the alpha -> 0+ limit of the damped one for every
-    alpha, so the radiation condition has one rule: every root at the axis
-    is passed by a semicircular arc on its far side. A small damping moves
-    a real root r by i alpha V r / L_k(r), so a phonon radiating ahead
-    (r L_k > 0) counts as above the axis and is passed below, one radiating
-    behind is passed above, and a damped root within POLE_BAND of the axis
-    is passed on the side away from its Im k. The oscillatory tail is
-    integrated analytically. Construction checks q against a refined panel
+    sigma_AC(V). The contour is the alpha -> 0+ limit of the damped one for
+    every alpha, so the radiation condition has one rule: every root at the
+    axis is passed by a semicircular arc on its far side. A small damping
+    moves a real root r by i alpha V r / L_k(r), so a phonon radiating
+    ahead (r L_k > 0) counts as above the axis and is passed below, one
+    radiating behind is passed above, and a damped root within POLE_BAND of
+    the axis is passed on the side away from its Im k. Panels are graded
+    under every complex root within REFINE_BAND of the axis. The
+    oscillatory tail is integrated analytically. Construction checks q against a refined panel
     grid and raises QuadratureFail if the two disagree beyond QUAD_SELF_TOL.
     """
 
     # contour arcs engage for damped poles closer to the axis than this
     POLE_BAND = 0.3
+    # panels are graded under complex roots closer to the axis than this
+    REFINE_BAND = 0.5
     ARC_RHO = 0.08
 
     def __init__(self, V: float, params: ModelParams):
@@ -260,9 +263,8 @@ class KernelQuadrature:
         self.params = params
         K = KFAC * np.sqrt(params.mu + 4.0) / V
         roots = root_set(V, params, 60)
-        damped = params.alpha > 0.0
-        self._refine = () if damped else self._plan_refine(roots, K)
-        self._arcs = self._plan_arcs(roots, K, damped)
+        self._refine = self._plan_refine(roots, K)
+        self._arcs = self._plan_arcs(roots, K, params.alpha > 0.0)
         self._grid = self._make_grid(K, 1.0, 0)
         probe = np.array([0.0, 0.37, 1.0, -2.2])
         fine = self._integral(probe, 0, self._make_grid(K, 0.5, 8))
@@ -274,16 +276,17 @@ class KernelQuadrature:
 
     @staticmethod
     def _plan_refine(roots, K: float):
-        """Extra panel edges under complex pairs that pinch the real axis.
+        """Extra panel edges under complex roots near the real axis.
 
-        Just past a resonance a conjugate pair sits at distance |Im k| << 1
-        from the contour, which passes between the two; the integrand stays
-        smooth on the axis but peaks with that width, so panels are shrunk
-        to match it.
+        Just past a resonance a root sits at distance |Im k| << 1 from the
+        contour; the integrand stays smooth on the axis but peaks with that
+        width, so panels within REFINE_BAND of a root of either half plane
+        are shrunk to match it, damped or not.
         """
         found: dict[float, float] = {}
-        for k in roots.upper:
-            if abs(k.imag) < KernelQuadrature.POLE_BAND and 0.0 < k.real < K:
+        for k in np.concatenate([roots.upper, roots.lower]):
+            if abs(k.imag) < KernelQuadrature.REFINE_BAND \
+                    and 0.0 < k.real < K:
                 xc = round(float(k.real), 6)
                 sc = max(abs(float(k.imag)), 1e-3)
                 found[xc] = min(found.get(xc, np.inf), sc)
@@ -357,10 +360,11 @@ class KernelQuadrature:
         xi = np.atleast_1d(np.asarray(xi, float))
         return (2.0 * self.params.mu / np.pi) * self._integral(xi, 0)
 
-    def U(self, xi, sigma: float) -> np.ndarray:
-        """Profile U(xi) at applied stress sigma."""
+    def U(self, xi) -> np.ndarray:
+        """Profile U(xi) at the kinetic stress sigma = Sigma(V)."""
         xi = np.atleast_1d(np.asarray(xi, float))
-        return sigma - (2.0 * self.params.mu / np.pi) * self._integral(xi, 1)
+        return sigma_AC(self.V, self.params) \
+            - (2.0 * self.params.mu / np.pi) * self._integral(xi, 1)
 
 
 @lru_cache(maxsize=64)
@@ -369,27 +373,21 @@ def quad_kernel(V: float, params: ModelParams) -> KernelQuadrature:
 
 
 def U_integral(xi, V: float, params: ModelParams):
-    """Quadrature evaluation of U(xi) at sigma = Sigma(V).
+    """Quadrature evaluation of U(xi) at sigma = Sigma(V) = sigma_AC(V).
 
-    Independent of the residue route: panels over [0, K] with an arc past
-    each root at the axis on its alpha -> 0+ side, plus an analytic tail.
-    Serves as the oracle for U_profile.
+    Its integral is independent of the residue route: panels over [0, K]
+    with an arc past each root at the axis on its alpha -> 0+ side, plus an
+    analytic tail. Serves as the oracle for U_profile.
     """
-    qk = quad_kernel(V, params)
-    sigma = sigma_AC(V, params)
-    out = qk.U(xi, sigma)
-    return out if out.size > 1 else float(out[0])
+    return _shaped(xi, quad_kernel(V, params).U(xi))
 
 
 def q_integral(xi, V: float, params: ModelParams):
     """Quadrature evaluation of the kernel q(xi); oracle for kernel_q."""
-    qk = quad_kernel(V, params)
-    out = qk.q(xi)
-    return out if out.size > 1 else float(out[0])
+    return _shaped(xi, quad_kernel(V, params).q(xi))
 
 
-def ac_admissible(V: float, params: ModelParams,
-                  n_pairs: int = DEFAULT_N_PAIRS) -> bool:
+def ac_admissible(V: float, params: ModelParams) -> bool:
     """Sign check of the classical wave: U > 0 for xi < 0, U < 0 for xi > 0.
 
     Samples at spacing ADMISSIBLE_SPACING on +-(0, ADMISSIBLE_RANGE]. Just
@@ -401,8 +399,8 @@ def ac_admissible(V: float, params: ModelParams,
     """
     n = int(np.ceil(ADMISSIBLE_RANGE / ADMISSIBLE_SPACING))
     xs = np.linspace(ADMISSIBLE_SPACING, ADMISSIBLE_RANGE, n)
-    right = U_profile(xs, V, params, n_pairs)
-    left = U_profile(-xs, V, params, n_pairs)
+    right = U_profile(xs, V, params)
+    left = U_profile(-xs, V, params)
     if np.any(right >= 0.0) or np.any(left <= 0.0):
         return False
     ladder = []
@@ -411,21 +409,18 @@ def ac_admissible(V: float, params: ModelParams,
         ladder.append(x)
         x *= 2.0
     lad = np.array(ladder)
-    qk = quad_kernel(V, params)
-    sigma = sigma_AC(V, params, n_pairs)
-    return bool(np.all(qk.U(lad, sigma) < 0.0)
-                and np.all(qk.U(-lad, sigma) > 0.0))
+    u = quad_kernel(V, params).U(np.concatenate([lad, -lad]))
+    return bool(np.all(u[:lad.size] < 0.0) and np.all(u[lad.size:] > 0.0))
 
 
-def ac_solution(V: float, params: ModelParams,
-                n_pairs: int = DEFAULT_N_PAIRS) -> ACSolution:
+def ac_solution(V: float, params: ModelParams) -> ACSolution:
     """Bundle sigma, admissibility, and equilibria of the classical wave."""
-    sigma = sigma_AC(V, params, n_pairs)
+    sigma = sigma_AC(V, params)
     return ACSolution(
         V=V,
         params=params,
         sigma=sigma,
-        admissible=ac_admissible(V, params, n_pairs=n_pairs),
+        admissible=ac_admissible(V, params),
         u_plus=sigma - 1.0,
         u_minus=sigma + 1.0,
     )

@@ -18,7 +18,6 @@ import numpy as np
 
 from .acwave import quad_kernel, sigma_AC
 from .dispersion import (
-    DEFAULT_N_PAIRS,
     eval_Lk,
     is_resonant,
     real_roots,
@@ -59,7 +58,6 @@ class KernelJet:
 
 
 def kernel_jet(V: float, params: ModelParams,
-               n_pairs: int = DEFAULT_N_PAIRS,
                method: str = "identity") -> KernelJet:
     """Kernel jet at xi = 0 by one of three routes.
 
@@ -76,21 +74,20 @@ def kernel_jet(V: float, params: ModelParams,
     """
     require_nonresonant(V, params)
     if method == "identity":
-        return _jet_identity(V, params, n_pairs)
+        return _jet_identity(V, params)
     if method == "closed":
-        return _jet_closed(V, params, n_pairs)
+        return _jet_closed(V, params)
     if method == "fd":
         return _jet_fd(V, params)
     raise ValueError(f"unknown jet method {method!r}")
 
 
-def _jet_identity(V: float, params: ModelParams,
-                  n_pairs: int) -> KernelJet:
+def _jet_identity(V: float, params: ModelParams) -> KernelJet:
     mu, alpha = params.mu, params.alpha
     qk = quad_kernel(V, params)
-    sigma = sigma_AC(V, params, n_pairs)
+    sigma = sigma_AC(V, params)
     q0 = float(qk.q(np.zeros(1))[0])
-    U1, Um1 = qk.U(np.array([1.0, -1.0]), sigma)
+    U1, Um1 = qk.U(np.array([1.0, -1.0]))
     q_plus = (alpha * V * q0 - (U1 + Um1) - mu * (sigma - 1.0)) / V**2
     q_minus = q_plus - 2.0 * mu / V**2
     q1, qm1 = qk.q(np.array([1.0, -1.0]))
@@ -100,7 +97,7 @@ def _jet_identity(V: float, params: ModelParams,
                      q_minus=float(q_minus), q2=float(q2))
 
 
-def _jet_closed(V: float, params: ModelParams, n_pairs: int) -> KernelJet:
+def _jet_closed(V: float, params: ModelParams) -> KernelJet:
     """Single-root closed form; requires exactly one real root pair."""
     if params.alpha != 0.0:
         raise RegimeMismatch("closed form requires alpha = 0")
@@ -113,9 +110,9 @@ def _jet_closed(V: float, params: ModelParams, n_pairs: int) -> KernelJet:
             "V is below the first resonance")
     r = pos[0]
     lk = float(eval_Lk(np.array([r + 0j]), V, params).real[0])
-    base = _jet_identity(V, params, n_pairs)
+    base = _jet_identity(V, params)
     s = 4.0 * mu * np.cos(r) / (r * lk)
-    sig = sigma_AC(V, params, n_pairs)
+    sig = sigma_AC(V, params)
     q_plus = (mu - sig * (2.0 + mu) - s) / V**2
     q_minus = (-mu - sig * (2.0 + mu) - s) / V**2
     return KernelJet(V=V, q0=base.q0, q_plus=q_plus, q_minus=q_minus,

@@ -87,7 +87,7 @@ def _velocity_grid(cfg: dict) -> np.ndarray:
 def cmd_kinetic(cfg: dict) -> int:
     params = _params(cfg)
     pts = newwave.kinetic_curve(_velocity_grid(cfg), params, m=cfg["m"],
-                                kernel=cfg["kernel"], n_pairs=cfg["n_pairs"])
+                                kernel=cfg["kernel"])
     rows = [(p.V, p.sigma, p.z, p.branch, p.admissible, p.flag) for p in pts]
     _write_csv(cfg["out"], "V,sigma,z,branch,admissible,flag", rows)
     return EXIT_OK
@@ -96,7 +96,7 @@ def cmd_kinetic(cfg: dict) -> int:
 def cmd_wave(cfg: dict) -> int:
     params = _params(cfg)
     wave = newwave.kinetic_wave(cfg["velocity"], params, m=cfg["m"],
-                                kernel=cfg["kernel"], n_pairs=cfg["n_pairs"])
+                                kernel=cfg["kernel"])
     xi = np.linspace(cfg["xi_min"], cfg["xi_max"], cfg["n_samples"])
     u = wave.evaluate(xi, method="residue")
     _write_csv(cfg["out"] + ".csv", "xi,u", zip(xi, u))
@@ -109,7 +109,7 @@ def cmd_wave(cfg: dict) -> int:
 def cmd_shape(cfg: dict) -> int:
     params = _params(cfg)
     wave = newwave.kinetic_wave(cfg["velocity"], params, m=cfg["m"],
-                                kernel=cfg["kernel"], n_pairs=cfg["n_pairs"])
+                                kernel=cfg["kernel"])
     sh = wave.shape
     _write_csv(cfg["out"] + ".csv", "s,h", zip(sh.mesh, sh.weights))
     _write_json(cfg["out"] + ".json", {
@@ -124,7 +124,7 @@ def cmd_bifurcation(cfg: dict) -> int:
     rows = []
     worst = 0.0
     for V in _velocity_grid(cfg):
-        jet = bif.kernel_jet(V, params, n_pairs=cfg["n_pairs"])
+        jet = bif.kernel_jet(V, params)
         worst = max(worst, abs(jet.q_plus - jet.q_minus
                                - 2.0 * params.mu / V**2))
         z_lin = bif.z_linear(jet)
@@ -134,7 +134,6 @@ def cmd_bifurcation(cfg: dict) -> int:
         else:
             pt = newwave.kinetic_point(
                 V, params, m=cfg["m"], kernel=cfg["kernel"],
-                n_pairs=cfg["n_pairs"],
                 z_range=(cfg["z_min"], cfg["z_max"]))
             z_num = pt.z
         rows.append((V, z_num, z_lin, z_qua, jet.q0, jet.q_plus,
@@ -170,8 +169,7 @@ def cmd_simulate(cfg: dict) -> int:
             raise UsageError("--sigma conflicts with ic=wave; the wave "
                              "carries its own kinetic stress")
         wave = newwave.kinetic_wave(cfg["velocity"], params, m=cfg["m"],
-                                    kernel=cfg["kernel"],
-                                    n_pairs=cfg["n_pairs"])
+                                    kernel=cfg["kernel"])
         state = chain.init_from_wave(wave, cfg["n"], n0=cfg["n0"])
     out = chain.run_and_classify(state, cfg["t_final"], cfg["dt"])
     base = cfg["out"]
@@ -182,7 +180,7 @@ def cmd_simulate(cfg: dict) -> int:
     _write_json(base + "_outcome.json", {
         "classification": out.classification,
         "velocity": None if np.isnan(out.velocity) else out.velocity,
-        "sigma": out.sigma})
+        "sigma": out.sigma, "flags": list(out.flags)})
     return EXIT_OK
 
 
@@ -211,7 +209,7 @@ class UsageError(Exception):
 
 
 COMMON_DEFAULTS = {"mu": 1.0, "alpha": 0.0, "out": None}
-PIPELINE_DEFAULTS = {"n_pairs": 400, "m": 100, "kernel": "quad"}
+PIPELINE_DEFAULTS = {"m": 100, "kernel": "quad"}
 
 # defaults per subcommand; these names are also the accepted config keys
 DEFAULTS: dict[str, dict] = {
@@ -322,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_pipeline(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-pairs", dest="n_pairs", type=int,
-                   help="root pairs kept in residue evaluations")
     p.add_argument("--m", type=int, help="plateau mesh size")
     p.add_argument("--kernel", choices=("quad", "residue"),
                    help="kernel evaluation route")

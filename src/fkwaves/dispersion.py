@@ -33,7 +33,7 @@ RES_GUARD = 1e-6
 RESONANCE_TOL = 1e-5
 # roots closer than this (relative) are considered duplicates
 DEDUPE_RADIUS = 1e-8
-# default number of complex roots kept per half plane
+# complex roots kept per half plane: the length of every residue series
 DEFAULT_N_PAIRS = 400
 # off-axis band: for alpha = 0 complex roots cannot sit closer to the real
 # axis than this outside the resonance exclusion zone
@@ -313,7 +313,10 @@ def root_set(V: float, params: ModelParams,
     """Memoized real and complex roots at velocity V.
 
     Each half plane holds n_pairs complex roots, or n_pairs + 1 where the
-    cut would split a mirror pair (k, -conj k). For alpha = 0 the lower half
+    cut would split a mirror pair (k, -conj k). The default DEFAULT_N_PAIRS
+    is the length of the residue series (sigma_AC, convolve); the kernel
+    quadrature's contour plan needs only the first few dozen pairs and asks
+    for fewer. For alpha = 0 the lower half
     is the conjugate of the upper; with damping the halves are searched
     independently. Damping 0 < alpha < MIN_DAMPING raises ValueError.
     """

@@ -23,7 +23,7 @@ from .acwave import (
     convolve,
     sigma_AC,
 )
-from .dispersion import DEFAULT_N_PAIRS, require_nonresonant
+from .dispersion import require_nonresonant
 from .errors import (
     NoAdmissibleWave,
     NoCandidate,
@@ -119,7 +119,7 @@ class WaveSolution:
         NEAR_PLATEAU of the plateau by quadrature) or "quad" (quadrature
         throughout, the cross-check route).
         """
-        Sigma = sigma_AC(self.V, self.params, DEFAULT_N_PAIRS)
+        Sigma = sigma_AC(self.V, self.params)
         return self.sigma - Sigma + self._convolve(xi, "U", method)
 
     def derivative(self, xi, method: str = "residue") -> np.ndarray:
@@ -141,8 +141,7 @@ class WaveSolution:
         for route, rows in ((method, ~quad), ("quad", quad)):
             if rows.any():
                 out[rows] = convolve(xi[rows], self.shape.atoms(), self.V,
-                                     self.params, kind, route,
-                                     DEFAULT_N_PAIRS)
+                                     self.params, kind, route)
         return out
 
 
@@ -157,8 +156,7 @@ def _trapezoid(mesh: np.ndarray) -> np.ndarray:
 
 
 def build_Q(z: float, V: float, params: ModelParams,
-            m: int = DEFAULT_MESH, kernel: str = "quad",
-            n_pairs: int = DEFAULT_N_PAIRS) -> np.ndarray:
+            m: int = DEFAULT_MESH, kernel: str = "quad") -> np.ndarray:
     """Discretized plateau operator Q[i][j] = w_j q(xi_i - s_j).
 
     Uniform m-point mesh on [-z, z] with trapezoidal weights; rows are the
@@ -171,7 +169,7 @@ def build_Q(z: float, V: float, params: ModelParams,
         raise ValueError("z must be positive")
     # kernel values q((i - j) d) for all lags of the uniform mesh
     lags = np.arange(-(m - 1), m) * (2.0 * z / (m - 1))
-    qv = convolve(lags, UNIT_ATOM, V, params, "q", kernel, n_pairs)
+    qv = convolve(lags, UNIT_ATOM, V, params, "q", kernel)
     w = _trapezoid(np.linspace(-z, z, m))
     idx = np.arange(m)
     Q = qv[(idx[:, None] - idx[None, :]) + m - 1]
@@ -188,15 +186,14 @@ def _logdet_sign(Q: np.ndarray) -> tuple[float, float]:
 
 def find_z(V: float, params: ModelParams,
            z_range: tuple[float, float] = Z_RANGE,
-           m: int = DEFAULT_MESH, kernel: str = "quad",
-           n_pairs: int = DEFAULT_N_PAIRS) -> list[float]:
+           m: int = DEFAULT_MESH, kernel: str = "quad") -> list[float]:
     """Plateau half-widths where det Q(z) changes sign, refined by bisection.
 
     Ascending; |delta z| <= 1e-8 after refinement. Raises NoCandidate when
     the determinant keeps one sign across the scanned range.
     """
     require_nonresonant(V, params)
-    args = (V, params, m, kernel, n_pairs)
+    args = (V, params, m, kernel)
     zs = np.linspace(z_range[0], z_range[1], Z_SCAN_POINTS)
     signs = np.array([_logdet_sign(build_Q(z, *args))[0] for z in zs])
     out: list[float] = []
@@ -219,14 +216,14 @@ def find_z(V: float, params: ModelParams,
 
 
 def solve_shape(z: float, V: float, params: ModelParams,
-                m: int = DEFAULT_MESH, kernel: str = "quad",
-                n_pairs: int = DEFAULT_N_PAIRS) -> ShapeFunction:
+                m: int = DEFAULT_MESH,
+                kernel: str = "quad") -> ShapeFunction:
     """Null direction of Q(z), normalized to unit trapezoidal integral.
 
     Extracted from the SVD; requires a clean rank-one null space: smallest
     singular value <= 1e-6 of the largest and well separated from the next.
     """
-    Q = build_Q(z, V, params, m, kernel, n_pairs)
+    Q = build_Q(z, V, params, m, kernel)
     _, sv, vt = np.linalg.svd(Q)
     if sv[-1] > NULLSPACE_REL * sv[0]:
         raise NotConverged(
@@ -245,22 +242,21 @@ def solve_shape(z: float, V: float, params: ModelParams,
 
 
 def assemble_wave(shape: ShapeFunction, V: float, params: ModelParams,
-                  kernel: str = "quad",
-                  n_pairs: int = DEFAULT_N_PAIRS) -> WaveSolution:
+                  kernel: str = "quad") -> WaveSolution:
     """Wave profile and stress from a shape function.
 
     sigma is fixed by u(z) + u(-z) = 0; the reported residual is max |u|
     over uniformly spaced plateau samples. Admissibility is judged by
     check_generalized with default range and plateau tolerance.
     """
-    Sigma = sigma_AC(V, params, n_pairs)
+    Sigma = sigma_AC(V, params)
     atoms = shape.atoms()
     edges = np.array([shape.z, -shape.z])
     plateau = np.linspace(-shape.z, shape.z, PLATEAU_SAMPLES) \
         if shape.z > 0 else np.zeros(1)
     u_edges, u_plat = np.split(convolve(
-        np.concatenate([edges, plateau]), atoms, V, params, "U", kernel,
-        n_pairs), [2])
+        np.concatenate([edges, plateau]), atoms, V, params, "U", kernel),
+        [2])
     sigma = Sigma - 0.5 * float(np.sum(u_edges))
     residual = float(np.max(np.abs(sigma - Sigma + u_plat)))
     wave = WaveSolution(
@@ -287,7 +283,7 @@ def check_generalized(wave: WaveSolution) -> bool:
 
 
 def kinetic_point(V: float, params: ModelParams, m: int = DEFAULT_MESH,
-                  kernel: str = "quad", n_pairs: int = DEFAULT_N_PAIRS,
+                  kernel: str = "quad",
                   z_range: tuple[float, float] = Z_RANGE) -> KineticPoint:
     """One point of the kinetic relation sigma(V).
 
@@ -295,28 +291,28 @@ def kinetic_point(V: float, params: ModelParams, m: int = DEFAULT_MESH,
     plateau pipeline and returns the unique admissible z > 0 wave (smallest
     plateau residual when several candidates pass).
     """
-    wave = kinetic_wave(V, params, m, kernel, n_pairs, z_range)
+    wave = kinetic_wave(V, params, m, kernel, z_range)
     return KineticPoint(V=V, sigma=wave.sigma, z=wave.z,
                         admissible=wave.admissible, branch=wave.branch)
 
 
 def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
-                 kernel: str = "quad", n_pairs: int = DEFAULT_N_PAIRS,
+                 kernel: str = "quad",
                  z_range: tuple[float, float] = Z_RANGE) -> WaveSolution:
     """Full wave behind kinetic_point; used for profiles and chain seeding."""
     require_nonresonant(V, params)
-    if ac_admissible(V, params, n_pairs=n_pairs):
+    if ac_admissible(V, params):
         shape = ShapeFunction(z=0.0, mesh=np.array([]), weights=np.array([]),
                               delta_plus=0.5, delta_minus=0.5)
-        return assemble_wave(shape, V, params, kernel, n_pairs)
-    candidates = find_z(V, params, z_range, m, kernel, n_pairs)
+        return assemble_wave(shape, V, params, kernel)
+    candidates = find_z(V, params, z_range, m, kernel)
     accepted: list[WaveSolution] = []
     for z in candidates:
         try:
-            shape = solve_shape(z, V, params, m, kernel, n_pairs)
+            shape = solve_shape(z, V, params, m, kernel)
         except (NotConverged, NullspaceNotRankOne):
             continue
-        wave = assemble_wave(shape, V, params, kernel, n_pairs)
+        wave = assemble_wave(shape, V, params, kernel)
         if wave.admissible:
             accepted.append(wave)
     if not accepted:
@@ -328,8 +324,7 @@ def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
 
 
 def kinetic_curve(V_list, params: ModelParams, m: int = DEFAULT_MESH,
-                  kernel: str = "quad",
-                  n_pairs: int = DEFAULT_N_PAIRS) -> list[KineticPoint]:
+                  kernel: str = "quad") -> list[KineticPoint]:
     """kinetic_point per velocity; failures become flagged placeholder rows.
 
     Resonant velocities are marked SKIPPED_RESONANT with NaN sigma.
@@ -341,7 +336,7 @@ def kinetic_curve(V_list, params: ModelParams, m: int = DEFAULT_MESH,
     out = []
     for V in V_list:
         try:
-            out.append(kinetic_point(V, params, m, kernel, n_pairs))
+            out.append(kinetic_point(V, params, m, kernel))
         except ResonantVelocity:
             out.append(KineticPoint(V=V, sigma=np.nan, z=np.nan,
                                     admissible=False, branch="",
@@ -349,7 +344,7 @@ def kinetic_curve(V_list, params: ModelParams, m: int = DEFAULT_MESH,
         except (NoCandidate, NoAdmissibleWave) as exc:
             flag = ("NO_CANDIDATE" if isinstance(exc, NoCandidate)
                     else "NO_ADMISSIBLE_WAVE")
-            sigma = sigma_AC(V, params, n_pairs)
+            sigma = sigma_AC(V, params)
             out.append(KineticPoint(V=V, sigma=sigma, z=0.0,
                                     admissible=False, branch="ac",
                                     flag=flag))

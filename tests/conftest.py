@@ -2,7 +2,9 @@
 
 Before anything imports fkwaves, the compiled integrator core is built in
 place (setuptools recompiles only when the C source is newer than the built
-module), so the suite always tests the current core.
+module), so the suite always tests the current core. A failed build puts
+its error output in the final summary; the suite then runs on the NumPy
+fallback, and test_active_backend_is_compiled names the failure.
 """
 
 import subprocess
@@ -11,11 +13,24 @@ from pathlib import Path
 
 import pytest
 
-subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
-               cwd=Path(__file__).resolve().parent.parent,
-               capture_output=True)
+_build = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+                        cwd=Path(__file__).resolve().parent.parent,
+                        capture_output=True, text=True)
+# setup.py's optional build exits 0 when the compiler fails and says so in
+# this warning instead
+_BUILD_FAILED = (_build.returncode != 0
+                 or "compiled integrator skipped" in _build.stderr)
 
 from fkwaves import ModelParams, kinetic_wave  # noqa: E402
+
+
+def pytest_terminal_summary(terminalreporter):
+    # pytest captures what this module writes at import, so the build's
+    # error output goes into the final summary
+    if _BUILD_FAILED:
+        terminalreporter.section("building the compiled integrator core "
+                                 "failed")
+        terminalreporter.write(_build.stderr)
 
 
 @pytest.fixture(scope="session")

@@ -96,8 +96,7 @@ def test_profile_routes_cross_validate(wave_v05, wave_v02):
 @pytest.mark.slow
 def test_kinetic_curve_kernel_independent(params):
     velocities = np.linspace(0.16, 0.55, 20)
-    by_residue = kinetic_curve(velocities, params, kernel="residue",
-                               n_pairs=400)
+    by_residue = kinetic_curve(velocities, params, kernel="residue")
     by_quad = kinetic_curve(velocities, params, kernel="quad")
     for r, q in zip(by_residue, by_quad):
         assert r.flag == "ok"

@@ -22,6 +22,7 @@ from fkwaves import (
     q_integral,
     sigma_AC,
 )
+from fkwaves import acwave
 from fkwaves.acwave import KernelQuadrature
 from fkwaves.dispersion import is_resonant
 
@@ -113,6 +114,15 @@ class TestDualRoute:
         assert U_integral(0.0, 0.5, params) == pytest.approx(0.0, abs=1e-12)
         assert U_integral(0.0, 0.2, params) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "f", [U_profile, kernel_q, U_integral, q_integral],
+        ids=["U_profile", "kernel_q", "U_integral", "q_integral"])
+    def test_result_shape_follows_input(self, f, params):
+        assert isinstance(f(0.7, 0.5, params), float)
+        for xi in (np.array([0.7]), np.array([-0.7, 0.7])):
+            out = f(xi, 0.5, params)
+            assert isinstance(out, np.ndarray) and out.shape == xi.shape
+
 
 class TestTwoRouteKernel:
     # the contour's arcs against the residue route, which knows nothing of
@@ -122,7 +132,8 @@ class TestTwoRouteKernel:
 
     @pytest.mark.parametrize("V,alpha", [
         (0.2443848, 0.0), (0.1572026, 0.0), (0.1021824, 0.0),
-        (0.2444268, 1e-3), (0.1439301, 1e-3)])
+        (0.1032124, 0.0), (0.2444268, 1e-3), (0.1439301, 1e-3),
+        (0.1032124, 1e-3)])
     def test_builds_beside_resonances(self, V, alpha):
         p = ModelParams(1.0, alpha)
         qk = KernelQuadrature(V, p)
@@ -166,9 +177,13 @@ class TestAdmissibility:
 
 
 class TestTruncation:
-    def test_warns_when_series_too_short(self, params):
+    def test_warns_when_series_too_short(self, params, monkeypatch):
+        # the series length is fixed, so a two-pair root set stands in for
+        # a series that is too short
+        full = acwave.root_set
+        monkeypatch.setattr(acwave, "root_set", lambda V, p: full(V, p, 2))
         with pytest.warns(TruncationWarning):
-            U_profile(np.array([0.0]), 0.2, params, n_pairs=2)
+            U_profile(np.array([0.0]), 0.2, params)
 
     def test_silent_at_default_length(self, params):
         with warnings.catch_warnings():

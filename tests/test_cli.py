@@ -100,6 +100,16 @@ class TestSimulate:
         assert outcome["classification"] == "Trapped"
         assert outcome["velocity"] == 0.0
         assert outcome["sigma"] == 0.05
+        assert outcome["flags"] == []
+
+    def test_edge_run_records_its_flag(self, tmp_path):
+        base = tmp_path / "edge"
+        assert main(["simulate", "--sigma", "0.3", "--n", "200",
+                     "--t-final", "200", "--out", str(base)]) == 0
+        outcome = json.loads((tmp_path / "edge_outcome.json").read_text())
+        assert outcome["classification"] == "Inconclusive"
+        assert outcome["flags"] == ["EDGE"]
+        assert outcome["velocity"] is None
 
     def test_wave_ic_rejects_sigma(self, tmp_path):
         rc = main(["simulate", "--ic", "wave", "--velocity", "0.5",
