@@ -33,7 +33,6 @@ from .dispersion import (
     resonance_velocities,
 )
 from .acwave import (
-    ACSolution,
     KernelQuadrature,
     sigma_AC,
     U_profile,
@@ -42,7 +41,6 @@ from .acwave import (
     q_integral,
     quad_kernel,
     ac_admissible,
-    ac_solution,
 )
 from .bifurcation import (
     KernelJet,

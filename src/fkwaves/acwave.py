@@ -26,7 +26,6 @@ so a whole shape costs one product of xi against the roots per series.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,18 +57,6 @@ QUAD_SELF_TOL = 1e-8
 # quadrature points per block of the one kernel integral; bounds its
 # (points x nodes) temporaries to a few MiB each
 ROW_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class ACSolution:
-    """Classical z = 0 wave at one velocity."""
-
-    V: float
-    params: ModelParams
-    sigma: float
-    admissible: bool
-    u_plus: float   # equilibrium ahead, sigma - 1
-    u_minus: float  # equilibrium behind, sigma + 1
 
 
 def _real_checked(values: np.ndarray, what: str):
@@ -411,16 +398,3 @@ def ac_admissible(V: float, params: ModelParams) -> bool:
     lad = np.array(ladder)
     u = quad_kernel(V, params).U(np.concatenate([lad, -lad]))
     return bool(np.all(u[:lad.size] < 0.0) and np.all(u[lad.size:] > 0.0))
-
-
-def ac_solution(V: float, params: ModelParams) -> ACSolution:
-    """Bundle sigma, admissibility, and equilibria of the classical wave."""
-    sigma = sigma_AC(V, params)
-    return ACSolution(
-        V=V,
-        params=params,
-        sigma=sigma,
-        admissible=ac_admissible(V, params),
-        u_plus=sigma - 1.0,
-        u_minus=sigma + 1.0,
-    )

@@ -18,8 +18,8 @@ import numpy as np
 
 from .acwave import quad_kernel, sigma_AC
 from .dispersion import (
+    bisect_change,
     eval_Lk,
-    is_resonant,
     real_roots,
     require_nonresonant,
     resonance_velocities,
@@ -149,14 +149,14 @@ def _q0_of_V(V: float, params: ModelParams) -> float:
 def threshold_V0(params: ModelParams, tol: float = V0_TOL) -> float:
     """Bifurcation velocity: the zero of q(0) along the classical branch.
 
-    Scans velocities above the first resonance (for alpha = 0; from low V
-    otherwise, stepping around resonant points is unnecessary since damping
-    removes them) for sign changes of q(0) and bisects the one at the
-    largest velocity to width tol. Damped chains keep remnant q(0)
-    oscillations near former resonances at low V; those zeros are not the
-    admissibility boundary, which is why the last sign change wins. Raises
-    NoSignChange when q(0) keeps one sign over the whole window, which
-    happens at large damping.
+    Scans velocities up to V0_SCAN_MAX for sign changes of q(0), from
+    RESONANCE_MARGIN above the largest resonance for alpha = 0 and from
+    low V otherwise (damping removes the resonances), and narrows the one
+    at the largest velocity by bisect_change to width tol; the midpoint
+    is returned. Damped chains keep remnant q(0) oscillations near former
+    resonances at low V; those zeros are not the admissibility boundary,
+    which is why the last sign change wins. Raises NoSignChange when q(0)
+    keeps one sign over the whole window, which happens at large damping.
     """
     if params.alpha == 0.0:
         V1 = resonance_velocities(params)[0][0]
@@ -164,31 +164,15 @@ def threshold_V0(params: ModelParams, tol: float = V0_TOL) -> float:
     else:
         lo = 0.05
     vs = np.linspace(lo, V0_SCAN_MAX, V0_SCAN_POINTS)
-    vals, kept = [], []
-    for v in vs:
-        if is_resonant(v, params):
-            continue
-        vals.append(_q0_of_V(v, params))
-        kept.append(v)
-    vals = np.array(vals)
-    kept = np.array(kept)
+    vals = np.array([_q0_of_V(v, params) for v in vs])
     flips = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
     if len(flips) == 0:
         raise NoSignChange(
             f"q(0) does not change sign on [{lo:.4f}, {V0_SCAN_MAX}] "
             f"(mu={params.mu}, alpha={params.alpha})")
     i = flips[-1]
-    a, b = kept[i], kept[i + 1]
-    fa = vals[i]
-    while b - a > tol:
-        c = 0.5 * (a + b)
-        fc = _q0_of_V(c, params)
-        if fc == 0.0:
-            return c
-        if np.sign(fc) == np.sign(fa):
-            a, fa = c, fc
-        else:
-            b = c
+    a, b = bisect_change(lambda v: np.sign(_q0_of_V(v, params)),
+                         vs[i], vs[i + 1], np.sign(vals[i]), tol)
     return 0.5 * (a + b)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import BACKEND, run_chain
+from .dispersion import bisect_change
 from .errors import Inconclusive, NoFront, NumericBlowup, ProfileRange
 from .newwave import WaveSolution
 from .params import ModelParams
@@ -227,8 +228,11 @@ def sweep_dynamic_threshold(params: ModelParams, sigma_lo: float,
                             tol: float = 2e-3) -> SweepResult:
     """Bisect sigma between a Trapped and a Steady Riemann run.
 
-    Every run must classify cleanly; an Inconclusive run aborts the sweep by
-    raising Inconclusive (increase N or T and retry). Requires the initial
+    bisect_change narrows [sigma_lo, sigma_hi] to width tol, keeping a
+    Trapped run at the lower end and a Steady one at the upper; sigma_D is
+    the midpoint, and history lists every run in order. Every run must
+    classify cleanly; an Inconclusive run aborts the sweep by raising
+    Inconclusive (increase N or T and retry). Requires the initial
     endpoints to bracket: lo Trapped, hi Steady.
     """
     history: list[tuple[float, str]] = []
@@ -249,11 +253,6 @@ def sweep_dynamic_threshold(params: ModelParams, sigma_lo: float,
         raise ValueError(
             f"endpoints do not bracket the threshold: sigma={lo} is {c_lo}, "
             f"sigma={hi} is {c_hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if classify(mid) == "Steady":
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect_change(classify, lo, hi, "Trapped", tol)
     return SweepResult(sigma_D=0.5 * (lo + hi), bracket=(lo, hi),
                        history=tuple(history))

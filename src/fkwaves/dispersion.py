@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotConverged, ResonantVelocity, RootCountMismatch
+from .errors import ResonantVelocity, RootCountMismatch
 from .params import ModelParams
 
 # Newton targets for complex roots
@@ -83,6 +83,26 @@ def _monotone_zeros(f, edges: np.ndarray) -> np.ndarray:
         # the first cut at or past the zero; cut 0 is a, before it
         j = (s * f(grid) <= 0.0).argmax(axis=1)
         a, b = grid[rows, j - 1], grid[rows, j]
+
+
+def bisect_change(f, a: float, b: float, fa, tol: float) -> tuple[float, float]:
+    """Bracket [a, b] of a change of f, halved to width tol or less.
+
+    f returns a sign or a label, fa = f(a) and f(b) differs from it; the
+    bracket keeps f(a) == fa and f(b) != fa, so an exact zero of a sign
+    counts as a change. Stops early at two adjacent doubles, where no
+    midpoint lies strictly inside, so any tol terminates. For expensive
+    scalar functions; cheap vectorised ones use _monotone_zeros.
+    """
+    while b - a > tol:
+        c = 0.5 * (a + b)
+        if not a < c < b:
+            break
+        if f(c) == fa:
+            a = c
+        else:
+            b = c
+    return a, b
 
 
 @lru_cache(maxsize=1024)
@@ -342,47 +362,31 @@ def resonance_velocities(params: ModelParams, count: int = 5) -> list[tuple[floa
 
     A resonance is a simultaneous zero L = dL/dk = 0 with k real; there the
     radiated phonon travels exactly at the front speed. Resonances are a
-    property of the undamped dispersion, so alpha is ignored here. Found by
-    two-dimensional Newton iteration on (L, dL/dk) from a (k, V) seed grid.
+    property of the undamped dispersion, so alpha is ignored here.
+
+    Eliminating V leaves g(k) = mu + 2 - 2 cos k - k sin k = 0. Since
+    g'' = k sin k vanishes only at n pi, g' is monotone between those
+    points and g between the zeros of g', so two _monotone_zeros passes
+    bracket every resonance k to adjacent doubles. V is read from L = 0,
+    sqrt(mu + 4 sin^2(k/2)) / k, which is stationary in k there. Since
+    V^2 = sin k / k <= 1 / k, the search range k_cap doubles until the
+    count-th largest V has V^2 k_cap > 1: no resonance beyond is faster.
     """
-    p0 = ModelParams(params.mu, 0.0)
+    if count < 1:
+        return []
+    mu = params.mu
     k_cap = max(40.0, 12.0 * count)
-    for _ in range(4):
-        sols = _resonance_newton(p0, k_cap)
-        if len(sols) >= count:
-            return sols[:count]
+    while True:
+        edges = np.append(np.pi * np.arange(np.ceil(k_cap / np.pi)), k_cap)
+        crit = _monotone_zeros(lambda k: np.sin(k) - k * np.cos(k), edges)
+        ks = _monotone_zeros(
+            lambda k: mu + 2.0 - 2.0 * np.cos(k) - k * np.sin(k),
+            np.concatenate([[0.0], crit, [k_cap]]))
+        V = np.sqrt(mu + 4.0 * np.sin(ks / 2.0) ** 2) / ks
+        top = np.argsort(-V)[:count]
+        if top.size == count and V[top[-1]] ** 2 * k_cap > 1.0:
+            return [(float(V[i]), float(ks[i])) for i in top]
         k_cap *= 2.0
-    raise NotConverged(f"found only {len(sols)} resonances below k={k_cap}")
-
-
-def _resonance_newton(params: ModelParams, k_cap: float) -> list[tuple[float, float]]:
-    ks = np.arange(0.5, k_cap, 0.35)
-    Vs = np.arange(0.04, 1.1, 0.04)
-    K, Vv = np.meshgrid(ks, Vs)
-    K = K.ravel().astype(float)
-    Vv = Vv.ravel().astype(float)
-    for _ in range(60):
-        f1 = params.mu + 4.0 * np.sin(K / 2.0) ** 2 - Vv**2 * K**2
-        f2 = 2.0 * np.sin(K) - 2.0 * Vv**2 * K
-        j11 = f2
-        j12 = -2.0 * Vv * K**2
-        j21 = 2.0 * np.cos(K) - 2.0 * Vv**2
-        j22 = -4.0 * Vv * K
-        det = j11 * j22 - j12 * j21
-        det = np.where(np.abs(det) < 1e-14, np.nan, det)
-        dk = (f1 * j22 - f2 * j12) / det
-        dv = (f2 * j11 - f1 * j21) / det
-        K, Vv = K - dk, Vv - dv
-    ok = np.isfinite(K) & np.isfinite(Vv) & (K > 0.3) & (Vv > 1e-3) & (Vv < 2.0)
-    K, Vv = K[ok], Vv[ok]
-    res = np.abs(params.mu + 4.0 * np.sin(K / 2.0) ** 2 - Vv**2 * K**2) \
-        + np.abs(2.0 * np.sin(K) - 2.0 * Vv**2 * K)
-    ok = res < 1e-10 * (1.0 + K**2)
-    sols: list[tuple[float, float]] = []
-    for v, k in sorted(zip(Vv[ok], K[ok]), reverse=True):
-        if all(abs(v - v0) > 1e-9 or abs(k - k0) > 1e-7 for v0, k0 in sols):
-            sols.append((float(v), float(k)))
-    return sols
 
 
 def is_resonant(V: float, params: ModelParams) -> bool:

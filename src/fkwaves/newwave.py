@@ -23,7 +23,7 @@ from .acwave import (
     convolve,
     sigma_AC,
 )
-from .dispersion import require_nonresonant
+from .dispersion import bisect_change, require_nonresonant
 from .errors import (
     NoAdmissibleWave,
     NoCandidate,
@@ -176,36 +176,26 @@ def build_Q(z: float, V: float, params: ModelParams,
     return Q * w[None, :]
 
 
-def _logdet_sign(Q: np.ndarray) -> tuple[float, float]:
-    """slogdet after row scaling; 100x100 kernels overflow a naive det."""
-    sc = np.max(np.abs(Q), axis=1)
-    sc[sc == 0.0] = 1.0
-    sign, logd = np.linalg.slogdet(Q / sc[:, None])
-    return float(sign), float(logd + np.sum(np.log(sc)))
-
-
 def find_z(V: float, params: ModelParams,
            z_range: tuple[float, float] = Z_RANGE,
            m: int = DEFAULT_MESH, kernel: str = "quad") -> list[float]:
-    """Plateau half-widths where det Q(z) changes sign, refined by bisection.
+    """Plateau half-widths where det Q(z) changes sign, ascending.
 
-    Ascending; |delta z| <= 1e-8 after refinement. Raises NoCandidate when
-    the determinant keeps one sign across the scanned range.
+    The sign of det Q (from slogdet) is scanned on Z_SCAN_POINTS values of
+    z across z_range; each change is narrowed by bisect_change to a
+    bracket of width Z_BISECT_TOL, whose midpoint is returned. Raises
+    NoCandidate when the determinant keeps one sign across the range.
     """
     require_nonresonant(V, params)
-    args = (V, params, m, kernel)
+
+    def sign(z: float) -> float:
+        return np.linalg.slogdet(build_Q(z, V, params, m, kernel))[0]
+
     zs = np.linspace(z_range[0], z_range[1], Z_SCAN_POINTS)
-    signs = np.array([_logdet_sign(build_Q(z, *args))[0] for z in zs])
+    signs = np.array([sign(z) for z in zs])
     out: list[float] = []
     for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        a, b = zs[i], zs[i + 1]
-        sa = signs[i]
-        while b - a > Z_BISECT_TOL:
-            c = 0.5 * (a + b)
-            if _logdet_sign(build_Q(c, *args))[0] == sa:
-                a = c
-            else:
-                b = c
+        a, b = bisect_change(sign, zs[i], zs[i + 1], signs[i], Z_BISECT_TOL)
         z = 0.5 * (a + b)
         if not out or z - out[-1] > 10 * Z_BISECT_TOL:
             out.append(z)

@@ -17,7 +17,6 @@ from fkwaves import (
     U_integral,
     U_profile,
     ac_admissible,
-    ac_solution,
     kernel_q,
     q_integral,
     sigma_AC,
@@ -167,13 +166,6 @@ class TestAdmissibility:
     def test_far_from_threshold(self, params):
         assert not ac_admissible(0.30, params)
         assert ac_admissible(0.50, params)
-
-    def test_solution_bundle(self, params):
-        sol = ac_solution(0.5, params)
-        assert sol.admissible
-        assert sol.u_plus == pytest.approx(sol.sigma - 1.0)
-        assert sol.u_minus == pytest.approx(sol.sigma + 1.0)
-        assert sol.u_plus < 0.0 < sol.u_minus
 
 
 class TestTruncation:

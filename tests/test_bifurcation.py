@@ -75,6 +75,11 @@ class TestThreshold:
         assert v0 == pytest.approx(V0_ALPHA01, abs=1e-10)
         assert v0 < V0_ALPHA0
 
+    def test_zero_tol_terminates(self, params):
+        # bisection stops at adjacent doubles instead of looping forever
+        assert threshold_V0(params, tol=0.0) == pytest.approx(V0_ALPHA0,
+                                                              abs=1e-5)
+
     def test_branch_width_vanishes_at_threshold(self, params):
         jet = kernel_jet(V0_ALPHA0, params)
         assert abs(z_linear(jet)) < 1e-4

@@ -22,7 +22,7 @@ from fkwaves import (
     root_set,
     sigma_AC,
 )
-from fkwaves.dispersion import MIN_DAMPING
+from fkwaves.dispersion import MIN_DAMPING, bisect_change
 
 FD_TOL = 1e-6
 ROOT_TOL = 1e-8
@@ -199,28 +199,34 @@ class TestComplexRoots:
 
 
 class TestResonances:
-    def test_against_scalar_reduction(self):
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 4.0])
+    def test_against_scalar_reduction(self, mu):
         # eliminating V from L = dL/dk = 0 leaves
-        #   g(k) = mu + 2 - 2 cos k - k sin k = 0,  V = sqrt(sin k / k)
-        mu = 1.0
+        #   g(k) = mu + 2 - 2 cos k - k sin k = 0,  V = sqrt(sin k / k);
+        # V ~ sqrt(mu + 4) / k at large k, so k <= 200 holds the twelve
+        # largest
+        p = ModelParams(mu, 0.0)
 
         def g(k):
             return mu + 2.0 - 2.0 * np.cos(k) - k * np.sin(k)
 
-        ks = np.linspace(0.5, 40.0, 16001)
+        ks = np.linspace(0.5, 200.0, 80001)
         vals = g(ks)
         found = []
-        for a, b in zip(ks[:-1], ks[1:]):
-            if g(a) * g(b) < 0:
-                k0 = brentq(g, a, b, xtol=1e-13)
-                s = np.sin(k0) / k0
-                if s > 0:
-                    found.append((np.sqrt(s), k0))
+        for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+            k0 = brentq(g, ks[i], ks[i + 1], xtol=1e-13)
+            s = np.sin(k0) / k0
+            if s > 0:
+                found.append((np.sqrt(s), k0))
         found.sort(reverse=True)
-        got = resonance_velocities(P1, count=5)
-        for (Vg, kg), (Vo, ko) in zip(got, found[:5]):
+        got = resonance_velocities(p, count=12)
+        assert len(got) == 12
+        for (Vg, kg), (Vo, ko) in zip(got, found):
             assert Vg == pytest.approx(Vo, abs=RES_TOL)
             assert kg == pytest.approx(ko, abs=1e-6)
+            # a double root: L and dL/dk vanish together
+            assert abs(eval_L(kg, Vg, p)) < 1e-12 * (1.0 + kg**2)
+            assert abs(eval_Lk(kg, Vg, p)) < 1e-12 * (1.0 + kg**2)
 
     def test_first_resonance_value(self):
         # regression anchor, cross-checked by the reduction test above
@@ -238,3 +244,15 @@ class TestResonances:
         V1 = resonance_velocities(P1, count=1)[0][0]
         with pytest.raises(ResonantVelocity):
             sigma_AC(V1, P1)
+
+
+class TestBisectChange:
+    def test_zero_tol_ends_at_adjacent_doubles(self):
+        # below the double spacing, tol is never met: the bisection ends
+        # once no double lies strictly inside the bracket
+        def label(x):
+            return "Trapped" if x < 0.1 else "Steady"
+
+        a, b = bisect_change(label, 0.0, 1.0, "Trapped", 0.0)
+        assert label(a) == "Trapped" and label(b) == "Steady"
+        assert b == np.nextafter(a, np.inf)
