@@ -21,14 +21,21 @@ atom at 0; a plateau wave is its shape's atoms. On the residue route the
 atoms below each xi enter the plus series through prefix sums of
 a_j e^{-ik s_j} and those above it the minus series through suffix sums,
 so a whole shape costs one product of xi against the roots per series.
+On the quadrature route every plateau computation reads the kernel only at
+small lags, where q and U are analytic between the integers; there convolve
+reads a piecewise-Chebyshev table of each, built once per velocity from the
+quadrature's own values.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .dispersion import (
     eval_L,
@@ -57,6 +64,18 @@ QUAD_SELF_TOL = 1e-8
 # quadrature points per block of the one kernel integral; bounds its
 # (points x nodes) temporaries to a few MiB each
 ROW_BLOCK = 256
+# the kernel tables cover lags in [-TABLE_REACH, TABLE_REACH], one
+# Chebyshev piece per unit interval between integers
+TABLE_REACH = 3
+# a piece is done once its trailing coefficients (the root mean square of
+# the last eighth) fall below TABLE_TOL of its largest; its node count
+# doubles from TABLE_MIN_NODES up to TABLE_MAX_NODES. The quadrature's own
+# rounding sets a floor near 1e-14 at 128 nodes, above which it grows
+TABLE_TOL = 1e-14
+TABLE_MIN_NODES = 16
+TABLE_MAX_NODES = 128
+
+log = logging.getLogger(__name__)
 
 
 def _real_checked(values: np.ndarray, what: str):
@@ -143,7 +162,8 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     on its side, since e^{ik xi} overflows far out on the other side. Atoms
     at s_j = xi take the branch average at lag 0, whose mismatch measures
     truncation. The "quad" route has no one-sided form and sums over the
-    lags xi - s_j.
+    lags xi - s_j: from the kernel's table (KernelQuadrature.table) when
+    every lag lies within TABLE_REACH, else by quadrature.
     """
     if kind not in ("U", "q"):
         raise ValueError(f"unknown convolution kind {kind!r}")
@@ -154,7 +174,8 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     if method == "quad":
         qk = quad_kernel(V, params)
         lags = (xi[:, None] - s[None, :]).ravel()
-        vals = qk.q(lags) if kind == "q" else qk.U(lags)
+        inside = np.max(np.abs(lags), initial=0.0) <= TABLE_REACH
+        vals = (qk.table(kind) if inside else getattr(qk, kind))(lags)
         return vals.reshape(len(xi), len(s)) @ a
     if method != "residue":
         raise ValueError(f"unknown kernel method {method!r}")
@@ -234,8 +255,10 @@ class KernelQuadrature:
     radiating behind is passed above, and a damped root within POLE_BAND of
     the axis is passed on the side away from its Im k. Panels are graded
     under every complex root within REFINE_BAND of the axis. The
-    oscillatory tail is integrated analytically. Construction checks q against a refined panel
-    grid and raises QuadratureFail if the two disagree beyond QUAD_SELF_TOL.
+    oscillatory tail is integrated analytically. Construction checks q
+    against a refined panel grid and raises QuadratureFail if the two
+    disagree beyond QUAD_SELF_TOL. table("q") and table("U") are
+    piecewise-Chebyshev tables of the two on small lags.
     """
 
     # contour arcs engage for damped poles closer to the axis than this
@@ -260,6 +283,7 @@ class KernelQuadrature:
         if err > QUAD_SELF_TOL:
             raise QuadratureFail(f"panel quadrature self-check failed: "
                                  f"{err:.2e} > {QUAD_SELF_TOL:.0e}")
+        self._tables: dict[str, KernelTable] = {}
 
     @staticmethod
     def _plan_refine(roots, K: float):
@@ -352,6 +376,93 @@ class KernelQuadrature:
         xi = np.atleast_1d(np.asarray(xi, float))
         return sigma_AC(self.V, self.params) \
             - (2.0 * self.params.mu / np.pi) * self._integral(xi, 1)
+
+    def table(self, kind: str) -> KernelTable:
+        """Piecewise-Chebyshev table of q (kind "q") or U (kind "U").
+
+        Made on first use: most kernels, such as the many that threshold_V0
+        builds, never read one.
+        """
+        if kind not in ("q", "U"):
+            raise ValueError(f"unknown kernel table kind {kind!r}")
+        if kind not in self._tables:
+            self._tables[kind] = KernelTable(self, kind)
+        return self._tables[kind]
+
+
+@dataclass(frozen=True)
+class TablePiece:
+    """Chebyshev series of a kernel table on one unit interval of lags.
+
+    nodes is the node count it converged at and tail the ratio of the root
+    mean square of its last eighth of coefficients to its largest one.
+    """
+
+    interval: tuple[int, int]
+    nodes: int
+    tail: float
+    coef: np.ndarray
+
+
+class KernelTable:
+    """q or U of one KernelQuadrature on lags in [-TABLE_REACH, TABLE_REACH].
+
+    Between the integers both are analytic: V^2 q'' = q(x+1) - 2q(x)
+    + q(x-1) - mu q + 2 mu delta(x) puts the kink of q at 0 and pushes it
+    into ever higher derivatives at +-1, +-2, .... So each unit piece is
+    interpolated on its own Chebyshev points, from the kernel's own q or U
+    values, the first time a lag falls in it; pieces is what has been built.
+    """
+
+    def __init__(self, kernel: KernelQuadrature, kind: str):
+        self.kernel = kernel
+        self.kind = kind
+        self._pieces: dict[int, TablePiece] = {}
+
+    @property
+    def pieces(self) -> tuple[TablePiece, ...]:
+        return tuple(self._pieces[lo] for lo in sorted(self._pieces))
+
+    def __call__(self, lags) -> np.ndarray:
+        lags = np.atleast_1d(np.asarray(lags, float))
+        if np.any(np.abs(lags) > TABLE_REACH):
+            raise ValueError(f"kernel table lags must lie in "
+                             f"[-{TABLE_REACH}, {TABLE_REACH}]")
+        lo = np.clip(np.floor(lags), -TABLE_REACH, TABLE_REACH - 1)
+        out = np.empty(lags.shape)
+        for n in np.unique(lo):
+            at = lo == n
+            out[at] = chebyshev.chebval(2.0 * (lags[at] - n) - 1.0,
+                                        self._piece(int(n)).coef)
+        return out
+
+    def _piece(self, lo: int) -> TablePiece:
+        if lo not in self._pieces:
+            self._pieces[lo] = self._build(lo)
+        return self._pieces[lo]
+
+    def _build(self, lo: int) -> TablePiece:
+        """Double the node count until the coefficient tail is below
+        TABLE_TOL; QuadratureFail past TABLE_MAX_NODES."""
+        f = getattr(self.kernel, self.kind)
+        where = (f"{self.kind} table piece [{lo}, {lo + 1}] at "
+                 f"V={self.kernel.V}, alpha={self.kernel.params.alpha}")
+        n = TABLE_MIN_NODES
+        while True:
+            coef = chebyshev.chebinterpolate(
+                lambda t: f(lo + 0.5 * (t + 1.0)), n - 1)
+            tail = float(np.sqrt(np.mean(coef[-(n // 8):] ** 2))
+                         / np.max(np.abs(coef)))
+            if tail <= TABLE_TOL:
+                break
+            if 2 * n > TABLE_MAX_NODES:
+                raise QuadratureFail(
+                    f"{where}: Chebyshev tail {tail:.1e} of the largest "
+                    f"coefficient at {n} nodes, above {TABLE_TOL:.0e}")
+            n *= 2
+        log.debug("%s: %d nodes, Chebyshev tail %.1e", where, n, tail)
+        return TablePiece(interval=(lo, lo + 1), nodes=n, tail=tail,
+                          coef=coef)
 
 
 @lru_cache(maxsize=64)

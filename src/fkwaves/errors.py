@@ -30,7 +30,14 @@ class NullspaceNotRankOne(FKWavesError):
 
 
 class NoAdmissibleWave(FKWavesError):
-    """No candidate wave passed the sign (admissibility) conditions."""
+    """No candidate wave passed the sign (admissibility) conditions.
+
+    reasons holds one (z, reason) pair per rejected candidate.
+    """
+
+    def __init__(self, message: str, reasons: tuple = ()):
+        super().__init__(message)
+        self.reasons = tuple(reasons)
 
 
 class ProfileRange(FKWavesError):

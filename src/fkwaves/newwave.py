@@ -297,18 +297,27 @@ def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
         return assemble_wave(shape, V, params, kernel)
     candidates = find_z(V, params, z_range, m, kernel)
     accepted: list[WaveSolution] = []
+    reasons: list[tuple[float, str]] = []
     for z in candidates:
         try:
             shape = solve_shape(z, V, params, m, kernel)
-        except (NotConverged, NullspaceNotRankOne):
+        except (NotConverged, NullspaceNotRankOne) as exc:
+            reasons.append((z, f"{type(exc).__name__}: {exc}"))
             continue
         wave = assemble_wave(shape, V, params, kernel)
         if wave.admissible:
             accepted.append(wave)
+        elif wave.residual > PLATEAU_TOL:
+            reasons.append((z, f"plateau residual {wave.residual:.2e} > "
+                               f"PLATEAU_TOL = {PLATEAU_TOL:.0e}"))
+        else:
+            reasons.append((z, "sign violated outside the plateau"))
     if not accepted:
         raise NoAdmissibleWave(
             f"no admissible wave at V={V}: {len(candidates)} determinant "
-            "zeros, none passed the sign and plateau checks")
+            "zeros, none passed the sign and plateau checks; "
+            + "; ".join(f"z={z:.6g}: {why}" for z, why in reasons),
+            reasons)
     accepted.sort(key=lambda w: w.residual)
     return accepted[0]
 

@@ -228,14 +228,18 @@ def _inv_L_series(mu: float, alpha: float, V: float,
 
 
 def tail_terms_needed(V: float, params: ModelParams, K: float) -> int:
-    """Series length so the geometric remainder stays below TAIL_TARGET."""
+    """Series length so the geometric remainder stays below TAIL_TARGET.
+
+    The |w| bound below 0.5 that convergence requires keeps it at 35 or
+    fewer terms.
+    """
     w_bound = (params.mu + 4.0) / (V**2 * K**2) + params.alpha / (V * K)
     if w_bound >= 0.5:
         raise QuadratureFail(
             f"tail series does not converge fast enough (|w| bound {w_bound:.3f}); "
             "increase the panel cutoff")
     need = int(np.ceil(np.log(TAIL_TARGET) / np.log(w_bound))) + 1
-    return max(TAIL_TERMS, min(need, 24))
+    return max(TAIL_TERMS, need)
 
 
 def tail_integral(xis: np.ndarray, V: float, params: ModelParams, K: float,

@@ -5,6 +5,7 @@ quadrature) cross-validate each other, and the profile is pushed back
 through the traveling-frame equation it is supposed to solve.
 """
 
+import logging
 import warnings
 
 import numpy as np
@@ -13,16 +14,24 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fkwaves import (
     ModelParams,
+    QuadratureFail,
     TruncationWarning,
     U_integral,
     U_profile,
     ac_admissible,
+    find_z,
     kernel_q,
     q_integral,
     sigma_AC,
 )
 from fkwaves import acwave
-from fkwaves.acwave import KernelQuadrature
+from fkwaves.acwave import (
+    TABLE_TOL,
+    UNIT_ATOM,
+    KernelQuadrature,
+    convolve,
+    quad_kernel,
+)
 from fkwaves.dispersion import is_resonant
 
 # frozen module outputs; guard against silent drift of either route
@@ -37,6 +46,22 @@ RESIDUAL_TOL = 2e-4
 
 DUAL_ROUTE_TOL = 1e-8
 DERIV_TOL = 1e-6
+
+# the kernel tables against the quadrature they interpolate
+TABLE_MATCH_TOL = 1e-12
+# find_z zeros computed with the quadrature at every lag, before the kernel
+# tables; the tables must leave every bit of them in place
+FIND_Z_ZEROS = {
+    (0.2, 0.0): [0.21245312092439184, 0.49417664763312674,
+                 0.5268578635671605, 0.7245556674063581, 0.9914312510070561],
+    (0.1023, 0.0): [0.056496078248293884, 0.13878631779232864,
+                    0.18948981787423663, 0.2568971838291335,
+                    0.35474384114427393, 0.5315171230514094,
+                    0.5951702232030952, 0.6688121518698877,
+                    0.7596855798907248, 0.8582706352299866],
+    (0.3, 0.0): [0.06554660588690323, 0.5752028668751507],
+    (0.25, 0.1): [0.14342887295117168, 0.6420898205829118],
+}
 
 
 def equation_residual(profile, xi, V, params, sigma):
@@ -146,6 +171,58 @@ class TestTwoRouteKernel:
         assume(not is_resonant(V, p))
         qk = KernelQuadrature(V, p)
         assert np.abs(qk.q(self.XI) - kernel_q(self.XI, V, p)).max() < self.TOL
+
+
+class TestKernelTable:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(V=st.floats(0.12, 0.9), alpha=st.sampled_from([0.0, 0.1]),
+           lags=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+    def test_matches_quadrature(self, V, alpha, lags):
+        p = ModelParams(1.0, alpha)
+        assume(not is_resonant(V, p))
+        qk = KernelQuadrature(V, p)
+        lags = np.array(lags)
+        for kind in ("q", "U"):
+            err = np.abs(qk.table(kind)(lags) - getattr(qk, kind)(lags))
+            assert err.max() <= TABLE_MATCH_TOL, kind
+
+    def test_far_lag_takes_quadrature(self, params):
+        V = 0.4321
+        qk = quad_kernel(V, params)
+        xi = np.array([0.5, 3.5])
+        got = convolve(xi, UNIT_ATOM, V, params, "q", "quad")
+        assert np.array_equal(got, qk.q(xi))
+        assert qk.table("q").pieces == ()
+        with pytest.raises(ValueError):
+            qk.table("q")(xi)
+        with pytest.raises(ValueError):
+            qk.table("h")
+
+    def test_pieces_report_their_build(self, params, caplog):
+        qk = KernelQuadrature(0.2, params)
+        with caplog.at_level(logging.DEBUG, logger="fkwaves"):
+            qk.table("q")(np.array([-0.5, 0.25, 1.5, 0.75]))
+        pieces = qk.table("q").pieces
+        assert [pc.interval for pc in pieces] == [(-1, 0), (0, 1), (1, 2)]
+        for pc in pieces:
+            assert pc.nodes in (16, 32, 64, 128)
+            assert 0.0 < pc.tail <= TABLE_TOL
+            assert pc.coef.size == pc.nodes
+        built = [r.getMessage() for r in caplog.records
+                 if "table piece" in r.getMessage()]
+        assert len(built) == 3
+        assert f"{pieces[0].nodes} nodes" in built[0]
+
+    def test_node_cap_raises(self, params, monkeypatch):
+        monkeypatch.setattr(acwave, "TABLE_MAX_NODES", 16)
+        qk = KernelQuadrature(0.2, params)
+        with pytest.raises(QuadratureFail,
+                           match=r"q table piece \[0, 1\].* at 16 nodes"):
+            qk.table("q")(np.array([0.5]))
+
+    @pytest.mark.parametrize("V,alpha", list(FIND_Z_ZEROS))
+    def test_find_z_zeros_unchanged(self, V, alpha):
+        assert find_z(V, ModelParams(1.0, alpha)) == FIND_Z_ZEROS[(V, alpha)]
 
 
 class TestKernelDerivative:

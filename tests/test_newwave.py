@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fkwaves import (
     ModelParams,
+    NoAdmissibleWave,
     NotConverged,
     ResonantVelocity,
     U_integral,
@@ -16,9 +17,11 @@ from fkwaves import (
     find_z,
     kinetic_curve,
     kinetic_point,
+    kinetic_wave,
     sigma_AC,
     solve_shape,
 )
+from fkwaves import newwave
 from fkwaves.acwave import U_profile, convolve, kernel_q
 
 # frozen pipeline outputs at default mesh/kernel
@@ -159,6 +162,19 @@ class TestKinetics:
         rows = kinetic_curve([FIRST_RESONANCE_V], params)
         assert rows[0].flag == "SKIPPED_RESONANT"
         assert np.isnan(rows[0].sigma)
+
+    def test_rejection_reasons(self, params, z_candidates, monkeypatch):
+        monkeypatch.setattr(newwave, "check_generalized", lambda wave: False)
+        with pytest.raises(NoAdmissibleWave) as info:
+            kinetic_wave(0.2, params)
+        reasons = dict(info.value.reasons)
+        assert sorted(reasons) == z_candidates
+        # the kinetic plateau is flat, so only the sign check can fail it
+        assert reasons[z_candidates[0]] == "sign violated outside the plateau"
+        for why in reasons.values():
+            assert why in str(info.value)
+            assert why.startswith(("sign violated", "plateau residual",
+                                   "NotConverged: ", "NullspaceNotRankOne: "))
 
     def test_damped_curve_finite_at_former_resonance(self):
         # damping removes the resonance; the plateau branch takes over and

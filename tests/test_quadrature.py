@@ -13,16 +13,19 @@ from scipy.special import exp1
 from fkwaves import ModelParams
 from fkwaves.dispersion import eval_L
 from fkwaves.quadrature import (
+    KFAC,
+    TAIL_TARGET,
     build_panels,
     exp_tail_integrals,
     tail_integral,
+    tail_terms_needed,
 )
 
 PV_TOL = 1e-9
 TAIL_TOL = 1e-7
 
-# the highest order tail_integral asks for: 24 series terms, extra_p = 1
-P_MAX = 49
+# the highest order tail_integral asks for: 35 series terms, extra_p = 1
+P_MAX = 71
 
 
 class TestPanels:
@@ -162,3 +165,14 @@ class TestDispersionTail:
             total += half * np.sum(w * fv * np.exp(1j * xi * kk))
         total += -np.exp(1j * xi * edges[-1]) * f(edges[-1]) / (1j * xi)
         assert_allclose(got, total, atol=TAIL_TOL)
+
+
+class TestTailSeriesLength:
+    @pytest.mark.parametrize("alpha", [9.0, 10.5])
+    def test_remainder_below_target(self, alpha):
+        # strong damping brings the |w| bound near 0.5, where the series
+        # needs more than 24 terms
+        V, params = 0.2, ModelParams(mu=1.0, alpha=alpha)
+        K = KFAC * np.sqrt(params.mu + 4.0) / V
+        w_bound = (params.mu + 4.0) / (V * K) ** 2 + alpha / (V * K)
+        assert w_bound ** tail_terms_needed(V, params, K) <= TAIL_TARGET
