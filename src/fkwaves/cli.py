@@ -128,10 +128,8 @@ def cmd_bifurcation(cfg: dict) -> int:
         if cfg["skip_numeric"]:
             z_num = np.nan
         else:
-            pt = newwave.kinetic_point(
-                V, params, m=cfg["m"], kernel=cfg["kernel"],
-                z_range=(cfg["z_min"], cfg["z_max"]))
-            z_num = pt.z
+            z_num = newwave.kinetic_point(V, params, m=cfg["m"],
+                                          kernel=cfg["kernel"]).z
         rows.append((V, z_num, z_lin, z_qua, jet.q0, jet.q_plus,
                      jet.q_minus))
     _write_csv(cfg["out"],
@@ -202,7 +200,7 @@ class UsageError(Exception):
 
 
 COMMON_DEFAULTS = {"mu": 1.0, "alpha": 0.0, "out": None}
-PIPELINE_DEFAULTS = {"m": 100, "kernel": "quad"}
+PIPELINE_DEFAULTS = {"m": newwave.DEFAULT_MESH, "kernel": "quad"}
 
 # defaults per subcommand; these names are also the accepted config keys
 DEFAULTS: dict[str, dict] = {
@@ -213,13 +211,12 @@ DEFAULTS: dict[str, dict] = {
     "shape": {**COMMON_DEFAULTS, **PIPELINE_DEFAULTS, "velocity": None},
     "bifurcation": {**COMMON_DEFAULTS, **PIPELINE_DEFAULTS,
                     "velocities": None, "v_min": 0.335, "v_max": 0.356,
-                    "n_points": 5, "skip_numeric": False,
-                    "z_min": 5e-4, "z_max": 0.08},
+                    "n_points": 5, "skip_numeric": False},
     "resonances": {**COMMON_DEFAULTS, "count": 5},
     "simulate": {**COMMON_DEFAULTS, **PIPELINE_DEFAULTS, "ic": "riemann",
                  "sigma": None, "velocity": None, "n": 1000, "n0": None,
                  "t_final": 2000.0, "dt": 0.01},
-    "threshold": {**COMMON_DEFAULTS, "dynamic": False, "tol_v": 1e-5,
+    "threshold": {**COMMON_DEFAULTS, "dynamic": False, "tol_v": bif.V0_TOL,
                   "sigma_lo": 0.1, "sigma_hi": 0.2, "n": 1000,
                   "t_final": 2000.0, "dt": 0.01, "tol": 2e-3},
 }
@@ -282,8 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-numeric", dest="skip_numeric",
                    action="store_true",
                    help="omit the z_numeric column (much faster)")
-    p.add_argument("--z-min", dest="z_min", type=float)
-    p.add_argument("--z-max", dest="z_max", type=float)
     _add_pipeline(p)
 
     p = add("resonances", "velocities where a phonon comoves with the front")

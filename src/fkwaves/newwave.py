@@ -34,9 +34,12 @@ from .errors import (
 from .params import ModelParams
 
 DEFAULT_MESH = 100
-# z window scanned for determinant sign changes
+# z grid scanned for determinant sign changes: Z_FLOOR_POINTS geometric
+# points from Z_FLOOR (z -> 0 as V -> V0), then Z_SCAN_POINTS on Z_RANGE
 Z_RANGE = (0.005, 1.0)
 Z_SCAN_POINTS = 160
+Z_FLOOR = 1e-5
+Z_FLOOR_POINTS = 24
 Z_BISECT_TOL = 1e-8
 # plateau flatness required before a wave counts as admissible; the
 # achieved residual is reported on the wave and shrinks with the mesh
@@ -176,22 +179,23 @@ def build_Q(z: float, V: float, params: ModelParams,
     return Q * w[None, :]
 
 
-def find_z(V: float, params: ModelParams,
-           z_range: tuple[float, float] = Z_RANGE,
-           m: int = DEFAULT_MESH, kernel: str = "quad") -> list[float]:
+def find_z(V: float, params: ModelParams, m: int = DEFAULT_MESH,
+           kernel: str = "quad") -> list[float]:
     """Plateau half-widths where det Q(z) changes sign, ascending.
 
-    The sign of det Q (from slogdet) is scanned on Z_SCAN_POINTS values of
-    z across z_range; each change is narrowed by bisect_change to a
-    bracket of width Z_BISECT_TOL, whose midpoint is returned. Raises
-    NoCandidate when the determinant keeps one sign across the range.
+    The sign of det Q (from slogdet) is scanned on the fixed grid of z
+    over [Z_FLOOR, Z_RANGE[1]]; each change is narrowed by bisect_change
+    to a bracket of width Z_BISECT_TOL, whose midpoint is returned. Raises
+    NoCandidate when the determinant keeps one sign across the grid.
     """
     require_nonresonant(V, params)
 
     def sign(z: float) -> float:
         return np.linalg.slogdet(build_Q(z, V, params, m, kernel))[0]
 
-    zs = np.linspace(z_range[0], z_range[1], Z_SCAN_POINTS)
+    zs = np.concatenate([
+        np.geomspace(Z_FLOOR, Z_RANGE[0], Z_FLOOR_POINTS, endpoint=False),
+        np.linspace(*Z_RANGE, Z_SCAN_POINTS)])
     signs = np.array([sign(z) for z in zs])
     out: list[float] = []
     for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
@@ -201,7 +205,8 @@ def find_z(V: float, params: ModelParams,
             out.append(z)
     if not out:
         raise NoCandidate(
-            f"det Q has no sign change for z in {z_range} at V={V}")
+            f"det Q has no sign change for z in [{Z_FLOOR:g}, "
+            f"{Z_RANGE[1]:g}] at V={V}")
     return out
 
 
@@ -273,29 +278,27 @@ def check_generalized(wave: WaveSolution) -> bool:
 
 
 def kinetic_point(V: float, params: ModelParams, m: int = DEFAULT_MESH,
-                  kernel: str = "quad",
-                  z_range: tuple[float, float] = Z_RANGE) -> KineticPoint:
+                  kernel: str = "quad") -> KineticPoint:
     """One point of the kinetic relation sigma(V).
 
     Returns the classical branch when it is admissible; otherwise runs the
     plateau pipeline and returns the unique admissible z > 0 wave (smallest
     plateau residual when several candidates pass).
     """
-    wave = kinetic_wave(V, params, m, kernel, z_range)
+    wave = kinetic_wave(V, params, m, kernel)
     return KineticPoint(V=V, sigma=wave.sigma, z=wave.z,
                         admissible=wave.admissible, branch=wave.branch)
 
 
 def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
-                 kernel: str = "quad",
-                 z_range: tuple[float, float] = Z_RANGE) -> WaveSolution:
+                 kernel: str = "quad") -> WaveSolution:
     """Full wave behind kinetic_point; used for profiles and chain seeding."""
     require_nonresonant(V, params)
     if ac_admissible(V, params):
         shape = ShapeFunction(z=0.0, mesh=np.array([]), weights=np.array([]),
                               delta_plus=0.5, delta_minus=0.5)
         return assemble_wave(shape, V, params, kernel)
-    candidates = find_z(V, params, z_range, m, kernel)
+    candidates = find_z(V, params, m, kernel)
     accepted: list[WaveSolution] = []
     reasons: list[tuple[float, str]] = []
     for z in candidates:

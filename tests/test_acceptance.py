@@ -110,7 +110,7 @@ def test_kinetic_curve_kernel_independent(params):
 
 def test_plateau_width_follows_linear_prediction(params):
     for V in NEAR_THRESHOLD_V:
-        point = kinetic_point(V, params, z_range=(5e-4, 0.08))
+        point = kinetic_point(V, params)
         predicted = z_linear(kernel_jet(V, params))
         assert abs(point.z - predicted) / point.z <= 0.1
 

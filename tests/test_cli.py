@@ -75,6 +75,14 @@ class TestWaveFiles:
                  (tmp_path / "w05.json").read_bytes())
         assert first == again
 
+    def test_small_plateau_near_threshold(self, tmp_path):
+        # z(0.355) lies below Z_RANGE, inside the scan's geometric run
+        base = tmp_path / "w0355"
+        assert main(["wave", "--velocity", "0.355", "--n-samples", "11",
+                     "--out", str(base)]) == 0
+        meta = json.loads((tmp_path / "w0355.json").read_text())
+        assert meta["z"] == pytest.approx(0.0022178, rel=1e-4)
+
     def test_shape_sidecar(self, tmp_path):
         base = tmp_path / "s03"
         assert main(["shape", "--velocity", "0.3", "--m", "40",
@@ -147,6 +155,13 @@ class TestConfigAndErrors:
         cfgf.write_text(json.dumps({"bogus_key": 1}))
         assert main(["resonances", "--config", str(cfgf)]) == 2
 
+    def test_removed_z_window_key(self, tmp_path):
+        # the plateau scan's z grid is fixed, so no config key sets it
+        cfgf = tmp_path / "old.json"
+        cfgf.write_text(json.dumps({"z_min": 5e-4}))
+        assert main(["bifurcation", "--config", str(cfgf),
+                     "--skip-numeric"]) == 2
+
     def test_missing_out(self):
         assert main(["wave", "--velocity", "0.5"]) == 2
 
@@ -155,7 +170,7 @@ class TestConfigAndErrors:
         ["shape", "--velocity", "0.3", "--m", "2"],
         ["simulate", "--sigma", "0.05", "--n", "1"],
         ["threshold", "--mu", "-1"],
-        ["bifurcation", "--velocities", "0.34", "--z-min", "0"],
+        ["bifurcation", "--velocities", "0.34", "--m", "2"],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path / "x")]) == 2

@@ -15,11 +15,13 @@ from fkwaves import (
     assemble_wave,
     build_Q,
     find_z,
+    kernel_jet,
     kinetic_curve,
     kinetic_point,
     kinetic_wave,
     sigma_AC,
     solve_shape,
+    z_quartic,
 )
 from fkwaves import newwave
 from fkwaves.acwave import U_profile, convolve, kernel_q
@@ -32,6 +34,11 @@ SIGMA_V03 = 0.1281659579778525
 Z_V025_M40 = 0.13960252013596347
 
 FIRST_RESONANCE_V = 0.24441475248391872
+# velocities in the last 0.005 below V0 (0.35701 undamped, 0.35611 at
+# alpha 0.1), where z falls below Z_RANGE; with the relative bound on z
+# against the quartic small-plateau law
+NEAR_V0 = [(0.0, (0.3526, 0.353, 0.354, 0.355, 0.356, 0.3568), 1e-3),
+           (0.1, (0.35, 0.354, 0.3558), 5e-3)]
 # residue convolution of a whole measure against the sum over its atoms
 CONVOLVE_TOL = 1e-11
 # quadrature-route assembly of the V = 0.2 wave evaluates 43 x 100 lags
@@ -175,6 +182,37 @@ class TestKinetics:
             assert why in str(info.value)
             assert why.startswith(("sign violated", "plateau residual",
                                    "NotConverged: ", "NullspaceNotRankOne: "))
+
+    @pytest.mark.parametrize("alpha, velocities, rel", NEAR_V0)
+    def test_branch_reaches_threshold(self, alpha, velocities, rel,
+                                      monkeypatch):
+        # record the waves behind the rows as kinetic_curve builds them
+        waves = []
+        build = newwave.kinetic_wave
+
+        def recording(*args):
+            waves.append(build(*args))
+            return waves[-1]
+
+        monkeypatch.setattr(newwave, "kinetic_wave", recording)
+        params = ModelParams(1.0, alpha)
+        rows = kinetic_curve(velocities, params)
+        assert len(waves) == len(rows)
+        for row, wave in zip(rows, waves):
+            assert row.flag == "ok" and row.admissible and row.branch == "new"
+            assert row.z == wave.z
+            predicted = z_quartic(kernel_jet(row.V, params))
+            assert abs(row.z - predicted) <= rel * predicted
+            assert wave.shape.mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_unresolved_plateau_is_named(self, params):
+        # at m = 100 the null space of Q(z) is not resolved below z ~ 2e-4:
+        # z(0.3569) = 1.25e-4 fails the rank-one gate by name
+        with pytest.raises(NoAdmissibleWave) as info:
+            kinetic_wave(0.3569, params)
+        z, why = info.value.reasons[0]
+        assert z == pytest.approx(1.25e-4, rel=1e-2)
+        assert why.startswith("NullspaceNotRankOne: ")
 
     def test_damped_curve_finite_at_former_resonance(self):
         # damping removes the resonance; the plateau branch takes over and
