@@ -54,9 +54,12 @@ REALNESS_TOL = 1e-9
 # one-sided branch disagreement at xi = 0 beyond this means the residue
 # series of DEFAULT_N_PAIRS root pairs is too short
 TRUNCATION_TOL = 1e-4
-# admissibility sampling
+# admissibility sampling: the sign checks of classical and plateau waves
+# read u at these distances beyond the front or the plateau edge
 ADMISSIBLE_RANGE = 40.0
 ADMISSIBLE_SPACING = 0.05
+SIGN_GRID = np.linspace(ADMISSIBLE_SPACING, ADMISSIBLE_RANGE,
+                        int(np.ceil(ADMISSIBLE_RANGE / ADMISSIBLE_SPACING)))
 # the admissibility ladder starts this close to the front
 ADMISSIBLE_TOL = 1e-6
 # quadrature self-check target at construction time
@@ -214,8 +217,9 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     return out
 
 
-# the classical profile and kernel as a measure: one unit mass at 0
-UNIT_ATOM = (np.zeros(1), np.ones(1))
+# the classical profile and kernel as a measure: one unit mass at 0; every
+# classical wave's shape shares these arrays, so they are read-only views
+UNIT_ATOM = (np.broadcast_to(0.0, 1), np.broadcast_to(1.0, 1))
 
 
 def U_profile(xi, V: float, params: ModelParams):
@@ -488,17 +492,15 @@ def q_integral(xi, V: float, params: ModelParams):
 def ac_admissible(V: float, params: ModelParams) -> bool:
     """Sign check of the classical wave: U > 0 for xi < 0, U < 0 for xi > 0.
 
-    Samples at spacing ADMISSIBLE_SPACING on +-(0, ADMISSIBLE_RANGE]. Just
-    below the threshold velocity the violation is a bump of height ~ q(0)^2
-    squeezed against xi = 0, so the uniform grid is augmented with a
-    geometric ladder from ADMISSIBLE_TOL up to the first grid point,
-    evaluated by quadrature (the residue sums are too noisy at that
-    amplitude).
+    Samples at +-SIGN_GRID, the spacing ADMISSIBLE_SPACING on
+    (0, ADMISSIBLE_RANGE]. Just below the threshold velocity the violation
+    is a bump of height ~ q(0)^2 squeezed against xi = 0, so the uniform
+    grid is augmented with a geometric ladder from ADMISSIBLE_TOL up to the
+    first grid point, evaluated by quadrature (the residue sums are too
+    noisy at that amplitude).
     """
-    n = int(np.ceil(ADMISSIBLE_RANGE / ADMISSIBLE_SPACING))
-    xs = np.linspace(ADMISSIBLE_SPACING, ADMISSIBLE_RANGE, n)
-    right = U_profile(xs, V, params)
-    left = U_profile(-xs, V, params)
+    right = U_profile(SIGN_GRID, V, params)
+    left = U_profile(-SIGN_GRID, V, params)
     if np.any(right >= 0.0) or np.any(left <= 0.0):
         return False
     ladder = []

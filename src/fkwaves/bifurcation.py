@@ -186,9 +186,8 @@ def shape_linear(jet: KernelJet) -> ShapeFunction:
     """Leading-order shape: two endpoint masses, no continuous part."""
     z = z_linear(jet)
     den = jet.q_minus - jet.q_plus
-    return ShapeFunction(z=z, mesh=np.array([]), weights=np.array([]),
-                         delta_minus=jet.q_minus / den,
-                         delta_plus=-jet.q_plus / den)
+    return ShapeFunction(z=z, s=np.array([-z, z]),
+                         a=np.array([jet.q_minus / den, -jet.q_plus / den]))
 
 
 def z_quartic(jet: KernelJet) -> float:
@@ -250,7 +249,8 @@ def shape_quadratic(jet: KernelJet) -> ShapeFunction:
     """Next-order shape: endpoint masses plus a constant interior density.
 
     Interior density zeta = -2 q2 / (q+ - q-) on [-z, z] with z from the
-    quartic; the endpoint masses keep total mass 1 exactly.
+    quartic; the endpoint masses keep total mass 1 exactly. As atoms, the
+    density's mass 2 z zeta splits evenly between -z and +z.
     """
     z = z_quartic(jet)
     d = jet.q_plus - jet.q_minus
@@ -259,6 +259,5 @@ def shape_quadratic(jet: KernelJet) -> ShapeFunction:
     half_sum = (jet.q_plus + jet.q_minus) / (2.0 * D)
     mass_minus = D / (2.0 * d) - half_sum  # at xi = -z
     mass_plus = D / (2.0 * d) + half_sum   # at xi = +z
-    mesh = np.linspace(-z, z, 2)
-    return ShapeFunction(z=z, mesh=mesh, weights=np.full(2, zeta),
-                         delta_minus=mass_minus, delta_plus=mass_plus)
+    return ShapeFunction(z=z, s=np.array([-z, z]),
+                         a=z * zeta + np.array([mass_minus, mass_plus]))

@@ -109,12 +109,11 @@ def cmd_shape(cfg: dict) -> int:
     params = _params(cfg)
     wave = newwave.kinetic_wave(cfg["velocity"], params, m=cfg["m"],
                                 kernel=cfg["kernel"])
-    sh = wave.shape
-    _write_csv(cfg["out"] + ".csv", "s,h", zip(sh.mesh, sh.weights))
+    _write_csv(cfg["out"] + ".csv", "s,mass",
+               zip(wave.shape.s, wave.shape.a))
     _write_json(cfg["out"] + ".json", {
         "V": wave.V, "z": wave.z, "sigma": wave.sigma,
-        "residual": wave.residual, "delta_plus": sh.delta_plus,
-        "delta_minus": sh.delta_minus})
+        "residual": wave.residual})
     return EXIT_OK
 
 

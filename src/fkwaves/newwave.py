@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acwave import (
-    ADMISSIBLE_SPACING,
+    SIGN_GRID,
     UNIT_ATOM,
     ac_admissible,
     convolve,
@@ -45,8 +45,6 @@ Z_BISECT_TOL = 1e-8
 # achieved residual is reported on the wave and shrinks with the mesh
 PLATEAU_TOL = 1e-3
 PLATEAU_SAMPLES = 41
-# sign constraints sampled on +-(z, z+range]
-CHECK_RANGE = 40.0
 # singular-value gates for the null direction
 NULLSPACE_REL = 1e-6
 NULLSPACE_GAP = 1e-3
@@ -56,40 +54,24 @@ NEAR_PLATEAU = 0.5
 
 @dataclass(frozen=True)
 class ShapeFunction:
-    """Normalized weight h whose convolution with U builds the wave.
+    """Normalized shape h whose convolution with U builds the wave.
 
-    weights are sampled values of h on the mesh; the trapezoidal integral of
-    weights plus the two optional point masses at -z and +z equals 1. The
-    purely analytic small-z approximations carry their mass entirely in
-    delta_minus / delta_plus (at xi = -z / +z) and an optional constant.
+    The shape is a discrete measure on [-z, z]: atoms at the ascending
+    positions s with masses a, which sum to 1. A plateau shape has its
+    first and last atoms at -z and +z, and those carry the end point
+    masses; the classical z = 0 wave is one unit atom at 0.
     """
 
     z: float
-    mesh: np.ndarray
-    weights: np.ndarray
-    delta_plus: float = 0.0
-    delta_minus: float = 0.0
-
-    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The shape as a discrete measure: positions and masses.
-
-        The masses are the trapezoidal weights times h; the point masses
-        join the atoms at the mesh ends, which are exactly -z and +z.
-        Without a mesh the point masses are the atoms, and the classical
-        z = 0 wave is one unit atom at 0.
-        """
-        if len(self.mesh):
-            s, a = self.mesh, _trapezoid(self.mesh) * self.weights
-        elif self.z > 0:
-            s, a = np.array([-self.z, self.z]), np.zeros(2)
-        else:
-            s, a = np.zeros(1), np.zeros(1)
-        a[0] += self.delta_minus
-        a[-1] += self.delta_plus
-        return s, a
+    s: np.ndarray
+    a: np.ndarray
 
     def mass(self) -> float:
-        return float(np.sum(self.atoms()[1]))
+        return float(np.sum(self.a))
+
+
+# the classical kink's shape: the unit atom at 0
+CLASSICAL = ShapeFunction(0.0, *UNIT_ATOM)
 
 
 @dataclass(frozen=True)
@@ -104,16 +86,26 @@ class KineticPoint:
 
 @dataclass(frozen=True)
 class WaveSolution:
-    """Assembled traveling wave u(xi) at one velocity."""
+    """Assembled traveling wave u(xi) at one velocity.
+
+    The plateau half-width z is the shape's, and the branch is "new" for a
+    plateau (z > 0) and "ac" for the classical kink (z = 0).
+    """
 
     V: float
     params: ModelParams
-    z: float
     sigma: float
     shape: ShapeFunction
     residual: float
     admissible: bool
-    branch: str
+
+    @property
+    def z(self) -> float:
+        return self.shape.z
+
+    @property
+    def branch(self) -> str:
+        return "new" if self.z > 0 else "ac"
 
     def evaluate(self, xi, method: str = "residue") -> np.ndarray:
         """u(xi) = sigma - Sigma(V) + integral h(s) U(xi - s) ds.
@@ -134,7 +126,7 @@ class WaveSolution:
         return -self._convolve(xi, "q", method)
 
     def _convolve(self, xi, kind: str, method: str) -> np.ndarray:
-        """convolve of the shape's atoms; on the residue route the points
+        """convolve of the shape; on the residue route the points
         within NEAR_PLATEAU of [-z, z] take the quadrature route, because
         there the residue series of the slope converge slowly."""
         xi = np.atleast_1d(np.asarray(xi, float))
@@ -143,15 +135,13 @@ class WaveSolution:
         out = np.zeros(xi.shape)
         for route, rows in ((method, ~quad), ("quad", quad)):
             if rows.any():
-                out[rows] = convolve(xi[rows], self.shape.atoms(), self.V,
-                                     self.params, kind, route)
+                out[rows] = convolve(xi[rows], (self.shape.s, self.shape.a),
+                                     self.V, self.params, kind, route)
         return out
 
 
 def _trapezoid(mesh: np.ndarray) -> np.ndarray:
-    """Trapezoidal quadrature weights of a uniform mesh."""
-    if len(mesh) < 2:
-        return np.zeros(len(mesh))
+    """Trapezoidal quadrature weights of a uniform mesh of >= 2 points."""
     d = mesh[1] - mesh[0]
     w = np.full(len(mesh), d)
     w[0] = w[-1] = 0.5 * d
@@ -213,10 +203,12 @@ def find_z(V: float, params: ModelParams, m: int = DEFAULT_MESH,
 def solve_shape(z: float, V: float, params: ModelParams,
                 m: int = DEFAULT_MESH,
                 kernel: str = "quad") -> ShapeFunction:
-    """Null direction of Q(z), normalized to unit trapezoidal integral.
+    """Null direction of Q(z) as atoms on the mesh, of unit total mass.
 
-    Extracted from the SVD; requires a clean rank-one null space: smallest
-    singular value <= 1e-6 of the largest and well separated from the next.
+    The atoms are the mesh points with masses w_j h_j, w the trapezoidal
+    weights and h the null direction from the SVD. Requires a clean
+    rank-one null space: smallest singular value <= 1e-6 of the largest and
+    well separated from the next.
     """
     Q = build_Q(z, V, params, m, kernel)
     _, sv, vt = np.linalg.svd(Q)
@@ -229,11 +221,11 @@ def solve_shape(z: float, V: float, params: ModelParams,
             f"ambiguous null space: s_min={sv[-1]:.2e} s_next={sv[-2]:.2e}")
     h = vt[-1]
     s = np.linspace(-z, z, m)
-    integral = float(_trapezoid(s) @ h)
+    w = _trapezoid(s)
+    integral = float(w @ h)
     if integral == 0.0:
         raise NullspaceNotRankOne("null direction has zero mean")
-    h = h / integral
-    return ShapeFunction(z=z, mesh=s, weights=h)
+    return ShapeFunction(z=z, s=s, a=w * (h / integral))
 
 
 def assemble_wave(shape: ShapeFunction, V: float, params: ModelParams,
@@ -245,33 +237,28 @@ def assemble_wave(shape: ShapeFunction, V: float, params: ModelParams,
     check_generalized with default range and plateau tolerance.
     """
     Sigma = sigma_AC(V, params)
-    atoms = shape.atoms()
     edges = np.array([shape.z, -shape.z])
-    plateau = np.linspace(-shape.z, shape.z, PLATEAU_SAMPLES) \
-        if shape.z > 0 else np.zeros(1)
+    plateau = np.linspace(-shape.z, shape.z, PLATEAU_SAMPLES)
     u_edges, u_plat = np.split(convolve(
-        np.concatenate([edges, plateau]), atoms, V, params, "U", kernel),
-        [2])
+        np.concatenate([edges, plateau]), (shape.s, shape.a), V, params,
+        "U", kernel), [2])
     sigma = Sigma - 0.5 * float(np.sum(u_edges))
     residual = float(np.max(np.abs(sigma - Sigma + u_plat)))
-    wave = WaveSolution(
-        V=V, params=params, z=shape.z, sigma=sigma, shape=shape,
-        residual=residual, admissible=False,
-        branch="new" if shape.z > 0 else "ac")
+    wave = WaveSolution(V=V, params=params, sigma=sigma, shape=shape,
+                        residual=residual, admissible=False)
     return replace(wave, admissible=check_generalized(wave))
 
 
 def check_generalized(wave: WaveSolution) -> bool:
     """Generalized admissibility: flat plateau and strict signs outside.
 
-    True iff the plateau residual is <= PLATEAU_TOL and u < 0 on
-    (z, z + CHECK_RANGE], u > 0 on [-z - CHECK_RANGE, -z), sampled at
-    spacing ADMISSIBLE_SPACING.
+    True iff the plateau residual is <= PLATEAU_TOL, u < 0 at z + SIGN_GRID
+    and u > 0 at -z - SIGN_GRID, the grid that ac_admissible samples beside
+    the classical front.
     """
     if wave.residual > PLATEAU_TOL:
         return False
-    n = int(np.ceil(CHECK_RANGE / ADMISSIBLE_SPACING))
-    xs = wave.z + np.linspace(ADMISSIBLE_SPACING, CHECK_RANGE, n)
+    xs = wave.z + SIGN_GRID
     right = wave.evaluate(xs)
     left = wave.evaluate(-xs)
     return bool(np.all(right < 0.0) and np.all(left > 0.0))
@@ -292,12 +279,16 @@ def kinetic_point(V: float, params: ModelParams, m: int = DEFAULT_MESH,
 
 def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
                  kernel: str = "quad") -> WaveSolution:
-    """Full wave behind kinetic_point; used for profiles and chain seeding."""
+    """Full wave behind kinetic_point; used for profiles and chain seeding.
+
+    An admissible classical kink is the wave of the CLASSICAL shape with
+    sigma = Sigma(V); it needs no assembly, and ac_admissible has already
+    checked its signs on SIGN_GRID.
+    """
     require_nonresonant(V, params)
     if ac_admissible(V, params):
-        shape = ShapeFunction(z=0.0, mesh=np.array([]), weights=np.array([]),
-                              delta_plus=0.5, delta_minus=0.5)
-        return assemble_wave(shape, V, params, kernel)
+        return WaveSolution(V=V, params=params, sigma=sigma_AC(V, params),
+                            shape=CLASSICAL, residual=0.0, admissible=True)
     candidates = find_z(V, params, m, kernel)
     accepted: list[WaveSolution] = []
     reasons: list[tuple[float, str]] = []

@@ -88,11 +88,21 @@ class TestWaveFiles:
         assert main(["shape", "--velocity", "0.3", "--m", "40",
                      "--out", str(base)]) == 0
         header, rows = read_csv(str(base) + ".csv")
-        assert header == ["s", "h"] and len(rows) == 40
+        assert header == ["s", "mass"] and len(rows) == 40
         meta = json.loads((tmp_path / "s03.json").read_text())
-        assert set(meta) == {"V", "z", "sigma", "residual",
-                             "delta_plus", "delta_minus"}
+        assert set(meta) == {"V", "z", "sigma", "residual"}
         assert meta["z"] > 0.0
+        s, mass = np.array(rows, float).T
+        assert s[0] == -meta["z"] and s[-1] == meta["z"]
+        assert abs(mass.sum() - 1.0) <= 1e-12
+
+    def test_classical_shape_is_one_atom(self, tmp_path):
+        base = tmp_path / "s05"
+        assert main(["shape", "--velocity", "0.5", "--out", str(base)]) == 0
+        header, rows = read_csv(str(base) + ".csv")
+        assert header == ["s", "mass"] and rows == [["0", "1"]]
+        meta = json.loads((tmp_path / "s05.json").read_text())
+        assert meta["z"] == 0.0
 
 
 class TestSimulate:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fkwaves import (
     ModelParams,
@@ -15,6 +15,7 @@ from fkwaves import (
     assemble_wave,
     build_Q,
     find_z,
+    is_resonant,
     kernel_jet,
     kinetic_curve,
     kinetic_point,
@@ -82,11 +83,24 @@ class TestFindZ:
 
 class TestSolveShape:
     def test_null_direction(self, params, z_candidates):
+        # the plateau equation on the mesh: Q[i, j] h_j = q(s_i - s_j) a_j
         z = z_candidates[0]
-        h = solve_shape(z, 0.2, params)
-        Q = build_Q(z, 0.2, params)
-        assert np.abs(Q @ h.weights).max() < 1e-6
-        assert h.mass() == pytest.approx(1.0, abs=1e-12)
+        sh = solve_shape(z, 0.2, params)
+        plateau = convolve(sh.s, (sh.s, sh.a), 0.2, params, "q", "quad")
+        assert np.abs(plateau).max() < 1e-6
+        assert sh.mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_end_atoms_converge(self, params):
+        # the end samples of h grow like 1/d with the mesh spacing d, but
+        # the end atoms, the point masses at -z and +z, converge
+        ends = []
+        for m in (50, 100, 200):
+            z = find_z(0.2, params, m)[0]
+            ends.append(solve_shape(z, 0.2, params, m).a[[0, -1]])
+        coarse = np.abs(ends[1] - ends[0])
+        fine = np.abs(ends[2] - ends[1])
+        assert np.all(coarse < 2e-3)
+        assert np.all(fine <= 0.5 * coarse)
 
     def test_rejects_non_zero(self, params):
         # z away from any determinant zero has no null direction
@@ -145,10 +159,23 @@ class TestWaveSolution:
         # above threshold the pipeline returns the classical wave exactly
         assert wave_v05.branch == "ac"
         assert wave_v05.z == 0.0
-        assert wave_v05.sigma == pytest.approx(sigma_AC(0.5, params), abs=1e-14)
+        assert wave_v05.sigma == sigma_AC(0.5, params)
         xs = np.array([-3.7, -1.1, 0.6, 2.9, 7.3])
         diff = wave_v05.evaluate(xs) - U_integral(xs, 0.5, params)
         assert np.abs(diff).max() < 1e-10
+
+    def test_classical_shape_is_read_only(self, wave_v05):
+        # every classical wave and every U_profile / kernel_q call share
+        # the unit atom, so a write through one wave must fail
+        with pytest.raises(ValueError):
+            wave_v05.shape.a[0] = 2.0
+        assert wave_v05.shape.mass() == 1.0
+
+    def test_damped_classical_sigma_is_kinetic(self):
+        # the classical wave's stress is Sigma(V) by definition, not an
+        # assembled value that carries the quadrature's error in U(0)
+        damped = ModelParams(1.0, 0.1)
+        assert kinetic_wave(0.5, damped).sigma == sigma_AC(0.5, damped)
 
 
 class TestKinetics:
@@ -213,6 +240,19 @@ class TestKinetics:
         z, why = info.value.reasons[0]
         assert z == pytest.approx(1.25e-4, rel=1e-2)
         assert why.startswith("NullspaceNotRankOne: ")
+
+    @pytest.mark.slow
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(V=st.floats(0.12, 0.35), alpha=st.sampled_from((0.0, 0.1)))
+    def test_shape_has_unit_mass(self, V, alpha):
+        # below threshold the wave's shape is a unit measure on [-z, z]
+        # with its end atoms at the plateau edges
+        params = ModelParams(1.0, alpha)
+        assume(not is_resonant(V, params))
+        shape = kinetic_wave(V, params).shape
+        assert shape.mass() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(shape.s) > 0.0)
+        assert shape.s[0] == -shape.z and shape.s[-1] == shape.z
 
     def test_damped_curve_finite_at_former_resonance(self):
         # damping removes the resonance; the plateau branch takes over and
