@@ -60,7 +60,6 @@ from .newwave import (
     solve_shape,
     assemble_wave,
     check_generalized,
-    kinetic_point,
     kinetic_wave,
     kinetic_curve,
 )

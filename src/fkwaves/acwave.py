@@ -41,7 +41,6 @@ from .dispersion import (
     eval_L,
     eval_Lk,
     real_roots,
-    require_nonresonant,
     root_set,
     DEFAULT_N_PAIRS,
 )
@@ -99,7 +98,6 @@ def sigma_AC(V: float, params: ModelParams) -> float:
     1/(k L_k) over the DEFAULT_N_PAIRS upper/lower half-plane roots of
     root_set. The recipes agree in the alpha -> 0 limit.
     """
-    require_nonresonant(V, params)
     if params.alpha == 0.0:
         rs = real_roots(V, params)
         return 2.0 * params.mu * float(np.sum(
@@ -182,7 +180,6 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
         return vals.reshape(len(xi), len(s)) @ a
     if method != "residue":
         raise ValueError(f"unknown kernel method {method!r}")
-    require_nonresonant(V, params)
     kp, lkp, km, lkm = _branch_terms(V, params)
     mu2 = 2.0 * params.mu
     if kind == "U":
@@ -272,7 +269,6 @@ class KernelQuadrature:
     ARC_RHO = 0.08
 
     def __init__(self, V: float, params: ModelParams):
-        require_nonresonant(V, params)
         self.V = V
         self.params = params
         K = KFAC * np.sqrt(params.mu + 4.0) / V

@@ -21,10 +21,9 @@ from .dispersion import (
     bisect_change,
     eval_Lk,
     real_roots,
-    require_nonresonant,
     resonance_velocities,
 )
-from .errors import NoPositiveRoot, NoSignChange, NotConverged, RegimeMismatch
+from .errors import NoPositiveRoot, NoSignChange, RegimeMismatch
 from .newwave import ShapeFunction
 from .params import ModelParams
 
@@ -36,7 +35,7 @@ V0_SCAN_POINTS = 60
 V0_SCAN_MAX = 1.2
 # margin kept between scan endpoints and a resonance
 RESONANCE_MARGIN = 2e-3
-# acceptable imaginary part when polishing quartic roots
+# a quartic root with a smaller relative imaginary part counts as real
 QUARTIC_IMAG_TOL = 1e-8
 FD_STEP = 1e-3
 
@@ -72,7 +71,6 @@ def kernel_jet(V: float, params: ModelParams,
     resonance only, RegimeMismatch below); "fd" estimates the one-sided
     slopes by polynomial extrapolation as an independent cross-check.
     """
-    require_nonresonant(V, params)
     if method == "identity":
         return _jet_identity(V, params)
     if method == "closed":
@@ -200,49 +198,26 @@ def z_quartic(jet: KernelJet) -> float:
         c2 = 4 q2 (q+ - q-),        c3 = 32 q2^2 / 3,
         c4 = 32 q2^3 / (3 (q+ - q-)),
 
-    reduces to the linear estimate when q2 = 0. Roots come from the
-    companion matrix and are polished by Newton; NoPositiveRoot if no real
-    positive root exists.
+    reduces to the linear estimate when q2 = 0. The roots come from the
+    companion matrix of the trimmed polynomial (q2 = 0 leaves -c0 / c1),
+    and the positive real ones take one Newton step; NoPositiveRoot if
+    there is none.
     """
     qp, qm, q0, q2 = jet.q_plus, jet.q_minus, jet.q0, jet.q2
     d = qp - qm
-    c = np.array([d * q0,
-                  4.0 * q2 * q0 - 2.0 * qp * qm,
-                  4.0 * q2 * d,
-                  32.0 * q2**2 / 3.0,
-                  32.0 * q2**3 / (3.0 * d)])
-    if abs(c[4]) < 1e-300 and abs(c[3]) < 1e-300:
-        # degenerate (q2 = 0): linear balance only
-        z = -c[0] / c[1]
-        if z <= 0:
-            raise NoPositiveRoot("degenerate quartic has no positive root")
-        return float(z)
-    roots = np.roots(c[::-1])
-    poly = np.polynomial.Polynomial(c)
-    dpoly = poly.deriv()
-    best = None
-    for r in roots:
-        if abs(r.imag) > QUARTIC_IMAG_TOL * (1.0 + abs(r)):
-            continue
-        x = float(r.real)
-        if x <= 0:
-            continue
-        for _ in range(50):
-            f = poly(x)
-            df = dpoly(x)
-            if df == 0:
-                break
-            step = f / df
-            x -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                break
-        else:
-            raise NotConverged(f"quartic root polish stalled at {x}")
-        if x > 0 and (best is None or x < best):
-            best = x
-    if best is None:
+    poly = np.polynomial.Polynomial([d * q0,
+                                     4.0 * q2 * q0 - 2.0 * qp * qm,
+                                     4.0 * q2 * d,
+                                     32.0 * q2**2 / 3.0,
+                                     32.0 * q2**3 / (3.0 * d)])
+    r = poly.roots()
+    x = r.real[(np.abs(r.imag) <= QUARTIC_IMAG_TOL * (1.0 + np.abs(r)))
+               & (r.real > 0.0)]
+    x = x - poly(x) / poly.deriv()(x)
+    x = x[x > 0.0]
+    if x.size == 0:
         raise NoPositiveRoot("quartic has no positive real root")
-    return best
+    return float(x.min())
 
 
 def shape_quadratic(jet: KernelJet) -> ShapeFunction:

@@ -116,6 +116,8 @@ def init_riemann(N: int, params: ModelParams, sigma: float,
 
     The front starts at site n0 - 1 with all velocities zero.
     """
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if n0 is None:
         n0 = N // 2
     if not 0 < n0 < N:
@@ -147,16 +149,17 @@ def init_from_wave(wave: WaveSolution, N: int,
     return ChainState(u=u, v=v, t=0.0, params=wave.params, sigma=wave.sigma)
 
 
-def front_position(u: np.ndarray) -> int:
-    """Leftmost site n with u_n > 0 and u_{n+1} <= 0."""
+def _front_sites(u: np.ndarray) -> np.ndarray:
+    """Sites n with u_n > 0 and u_{n+1} <= 0, ascending; NoFront if none."""
     hits = np.nonzero((u[:-1] > 0.0) & (u[1:] <= 0.0))[0]
     if len(hits) == 0:
         raise NoFront("no site satisfies u_n > 0 >= u_{n+1}")
-    return int(hits[0])
+    return hits
 
 
-def _front_count(u: np.ndarray) -> int:
-    return int(np.count_nonzero((u[:-1] > 0.0) & (u[1:] <= 0.0)))
+def front_position(u: np.ndarray) -> int:
+    """Leftmost site n with u_n > 0 and u_{n+1} <= 0."""
+    return int(_front_sites(u)[0])
 
 
 def step(state: ChainState, dt: float, n_steps: int = 1) -> ChainState:
@@ -178,9 +181,18 @@ def run_and_classify(state: ChainState, T: float,
     enough record accumulated to fit a velocity (MIN_FIT_TIME); with a long
     enough record the truncated trajectory is classified normally, since a
     front that marches off the end is the Steady outcome showing itself.
+    Raises ValueError unless dt > 0 and T spans at least four records, so
+    that the trailing quarter holds two.
     """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     sub = max(1, int(round(RECORD_DT / dt)))
-    n_rec = int(np.floor(T / (sub * dt)))
+    records = T / (sub * dt)
+    if not 4.0 <= records < np.inf:
+        raise ValueError(
+            f"T = {T} must be finite and span at least 4 front records of "
+            f"{sub * dt:g} for the velocity fit")
+    n_rec = int(records)
     times = [state.t]
     fronts = [front_position(state.u)]
     flags: set[str] = set()
@@ -190,10 +202,11 @@ def run_and_classify(state: ChainState, T: float,
         m = float(np.max(np.abs(state.u)))
         if not np.isfinite(m) or m > BLOWUP_LIMIT:
             raise NumericBlowup(f"|u| reached {m:.1e} at t={state.t:.1f}")
-        nu = front_position(state.u)
+        hits = _front_sites(state.u)
+        nu = int(hits[0])
         times.append(state.t)
         fronts.append(nu)
-        if _front_count(state.u) > 1:
+        if len(hits) > 1:
             flags.add("MULTIFRONT")
         if nu > state.N - EDGE_GUARD:
             exited = True

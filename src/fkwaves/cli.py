@@ -127,8 +127,8 @@ def cmd_bifurcation(cfg: dict) -> int:
         if cfg["skip_numeric"]:
             z_num = np.nan
         else:
-            z_num = newwave.kinetic_point(V, params, m=cfg["m"],
-                                          kernel=cfg["kernel"]).z
+            z_num = newwave.kinetic_wave(V, params, m=cfg["m"],
+                                         kernel=cfg["kernel"]).z
         rows.append((V, z_num, z_lin, z_qua, jet.q0, jet.q_plus,
                      jet.q_minus))
     _write_csv(cfg["out"],

@@ -9,8 +9,9 @@ Real roots are lattice phonons radiated by a steadily moving front; the sign
 of k * dL/dk decides whether a phonon travels ahead of or behind the front.
 Complex roots control the core shape through residue sums. Velocities where a
 real root is degenerate (L = dL/dk = 0) are resonances; kinetic quantities
-develop cusps or poles there and most solvers in this package refuse to work
-on top of one.
+develop cusps or poles there. real_roots refuses a velocity within
+RESONANCE_TOL of one with ResonantVelocity, and every undamped computation
+(root_set, the residue sums, the kernel quadrature) passes through it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .params import ModelParams
 COMPLEX_ROOT_TOL = 1e-10
 NEWTON_STEP_TOL = 1e-13
 NEWTON_ITERS = 60
-# |dL/dk| <= RES_GUARD * (1 + |k|) at a real root means "numerically resonant"
-RES_GUARD = 1e-6
 # is_resonant: V within about this distance of a resonance velocity
 RESONANCE_TOL = 1e-5
 # roots closer than this (relative) are considered duplicates
@@ -135,19 +134,17 @@ def real_roots(V: float, params: ModelParams) -> np.ndarray:
     """Positive real roots of L(., V), ascending and read-only.
 
     Only defined for alpha = 0; damping pushes every root off the real axis.
-    Callers are expected to rule out resonant V beforehand (is_resonant);
-    a root with |dL/dk| below the resonance guard raises ResonantVelocity.
+    This is the package's resonance gate: it raises ResonantVelocity when
+    is_resonant(V, params), and every undamped computation reads its real
+    roots here, so none runs on top of a resonance.
 
     Negative roots are the mirror images -k and are not returned.
     """
     if params.alpha != 0.0:
         raise ValueError("real roots exist only for alpha = 0")
-    roots = _real_axis(V, params.mu)[1]
-    flat = np.abs(eval_Lk(roots, V, params)) <= RES_GUARD * (1.0 + roots)
-    if flat.any():
-        raise ResonantVelocity(
-            f"degenerate real root k={roots[flat][0]:.12g} at V={V:.12g}")
-    return roots
+    if is_resonant(V, params):
+        raise ResonantVelocity(f"V={V} is within tolerance of a resonance")
+    return _real_axis(V, params.mu)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +335,8 @@ def root_set(V: float, params: ModelParams,
     quadrature's contour plan needs only the first few dozen pairs and asks
     for fewer. For alpha = 0 the lower half
     is the conjugate of the upper; with damping the halves are searched
-    independently. Damping 0 < alpha < MIN_DAMPING raises ValueError.
+    independently. Damping 0 < alpha < MIN_DAMPING raises ValueError, and
+    an undamped resonant V raises ResonantVelocity from real_roots.
     """
     if 0.0 < params.alpha < MIN_DAMPING:
         raise ValueError(
@@ -402,9 +400,3 @@ def is_resonant(V: float, params: ModelParams) -> bool:
     crit = _real_axis(V, params.mu)[0]
     return bool(np.any(np.abs(eval_L(crit, V, params))
                        <= RESONANCE_TOL * 2.0 * V * crit**2))
-
-
-def require_nonresonant(V: float, params: ModelParams) -> None:
-    """Raise ResonantVelocity when is_resonant(V, params)."""
-    if is_resonant(V, params):
-        raise ResonantVelocity(f"V={V} is within tolerance of a resonance")

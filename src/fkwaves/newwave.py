@@ -23,7 +23,7 @@ from .acwave import (
     convolve,
     sigma_AC,
 )
-from .dispersion import bisect_change, require_nonresonant
+from .dispersion import bisect_change
 from .errors import (
     NoAdmissibleWave,
     NoCandidate,
@@ -178,7 +178,6 @@ def find_z(V: float, params: ModelParams, m: int = DEFAULT_MESH,
     to a bracket of width Z_BISECT_TOL, whose midpoint is returned. Raises
     NoCandidate when the determinant keeps one sign across the grid.
     """
-    require_nonresonant(V, params)
 
     def sign(z: float) -> float:
         return np.linalg.slogdet(build_Q(z, V, params, m, kernel))[0]
@@ -264,28 +263,17 @@ def check_generalized(wave: WaveSolution) -> bool:
     return bool(np.all(right < 0.0) and np.all(left > 0.0))
 
 
-def kinetic_point(V: float, params: ModelParams, m: int = DEFAULT_MESH,
-                  kernel: str = "quad") -> KineticPoint:
-    """One point of the kinetic relation sigma(V).
-
-    Returns the classical branch when it is admissible; otherwise runs the
-    plateau pipeline and returns the unique admissible z > 0 wave (smallest
-    plateau residual when several candidates pass).
-    """
-    wave = kinetic_wave(V, params, m, kernel)
-    return KineticPoint(V=V, sigma=wave.sigma, z=wave.z,
-                        admissible=wave.admissible, branch=wave.branch)
-
-
 def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
                  kernel: str = "quad") -> WaveSolution:
-    """Full wave behind kinetic_point; used for profiles and chain seeding.
+    """The wave of one point of the kinetic relation sigma(V).
 
-    An admissible classical kink is the wave of the CLASSICAL shape with
-    sigma = Sigma(V); it needs no assembly, and ac_admissible has already
-    checked its signs on SIGN_GRID.
+    Returns the classical kink when it is admissible; otherwise runs the
+    plateau pipeline and returns the admissible z > 0 wave (smallest
+    plateau residual when several candidates pass). An admissible
+    classical kink is the wave of the CLASSICAL shape with sigma = Sigma(V);
+    it needs no assembly, and ac_admissible has already checked its signs
+    on SIGN_GRID.
     """
-    require_nonresonant(V, params)
     if ac_admissible(V, params):
         return WaveSolution(V=V, params=params, sigma=sigma_AC(V, params),
                             shape=CLASSICAL, residual=0.0, admissible=True)
@@ -318,7 +306,7 @@ def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
 
 def kinetic_curve(V_list, params: ModelParams, m: int = DEFAULT_MESH,
                   kernel: str = "quad") -> list[KineticPoint]:
-    """kinetic_point per velocity; failures become flagged placeholder rows.
+    """kinetic_wave per velocity; failures become flagged placeholder rows.
 
     Resonant velocities are marked SKIPPED_RESONANT with NaN sigma.
     Velocities where the plateau pipeline finds nothing keep the classical
@@ -329,7 +317,10 @@ def kinetic_curve(V_list, params: ModelParams, m: int = DEFAULT_MESH,
     out = []
     for V in V_list:
         try:
-            out.append(kinetic_point(V, params, m, kernel))
+            wave = kinetic_wave(V, params, m, kernel)
+            out.append(KineticPoint(V=V, sigma=wave.sigma, z=wave.z,
+                                    admissible=wave.admissible,
+                                    branch=wave.branch))
         except ResonantVelocity:
             out.append(KineticPoint(V=V, sigma=np.nan, z=np.nan,
                                     admissible=False, branch="",

@@ -17,6 +17,7 @@ as an output (the kinetic relation) rather than an input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -28,10 +29,11 @@ class ModelParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be nonnegative and finite, got {self.alpha}")
         # normalize ints etc. so caching keys compare reliably
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "alpha", float(self.alpha))

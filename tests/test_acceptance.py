@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from fkwaves import (ModelParams, U_integral, energy, init_from_wave,
-                     init_riemann, kernel_jet, kinetic_curve, kinetic_point,
-                     kinetic_wave, peierls_stress, resonance_velocities,
-                     run_and_classify, sigma_AC, sweep_dynamic_threshold,
-                     threshold_V0, z_linear)
+                     init_riemann, kernel_jet, kinetic_curve, kinetic_wave,
+                     peierls_stress, resonance_velocities, run_and_classify,
+                     sigma_AC, sweep_dynamic_threshold, threshold_V0,
+                     z_linear)
 from fkwaves.chain import front_position, step
 
 # Cross-validation grid for the two profile routes, clear of the kernel
@@ -50,7 +50,7 @@ def test_midrange_plateau_width_and_residual(wave_v02):
 
 
 def test_deep_subthreshold_plateau_width(params):
-    point = kinetic_point(0.1023, params)
+    point = kinetic_wave(0.1023, params)
     assert point.branch == "new"
     assert point.admissible
     assert point.z == pytest.approx(0.355, abs=0.015)
@@ -110,7 +110,7 @@ def test_kinetic_curve_kernel_independent(params):
 
 def test_plateau_width_follows_linear_prediction(params):
     for V in NEAR_THRESHOLD_V:
-        point = kinetic_point(V, params)
+        point = kinetic_wave(V, params)
         predicted = z_linear(kernel_jet(V, params))
         assert abs(point.z - predicted) / point.z <= 0.1
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fkwaves import ModelParams, kinetic_point, resonance_velocities
+from fkwaves import ModelParams, kinetic_wave, resonance_velocities
 from fkwaves.cli import main
 
 V0_ALPHA0 = 0.3570147628397361
@@ -53,7 +53,7 @@ class TestKinetic:
         assert [r[3] for r in rows] == ["ac", "ac"]
         assert [r[4] for r in rows] == ["true", "true"]
         # written with %.17g: parses back to the exact double
-        assert float(rows[1][1]) == kinetic_point(0.5, params).sigma
+        assert float(rows[1][1]) == kinetic_wave(0.5, params).sigma
         assert float(rows[0][2]) == 0.0
 
 
@@ -180,7 +180,11 @@ class TestConfigAndErrors:
         ["shape", "--velocity", "0.3", "--m", "2"],
         ["simulate", "--sigma", "0.05", "--n", "1"],
         ["threshold", "--mu", "-1"],
+        ["threshold", "--alpha", "nan"],
         ["bifurcation", "--velocities", "0.34", "--m", "2"],
+        ["simulate", "--sigma", "0.05", "--dt", "0"],
+        ["simulate", "--sigma", "0.05", "--t-final", "3"],
+        ["simulate", "--sigma", "nan"],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path / "x")]) == 2

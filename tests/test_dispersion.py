@@ -245,6 +245,24 @@ class TestResonances:
         with pytest.raises(ResonantVelocity):
             sigma_AC(V1, P1)
 
+    @pytest.mark.parametrize("dv", [0.0, -3e-6, 3e-6])
+    def test_root_functions_refuse_resonance(self, dv):
+        # real_roots is the one resonance gate: at V1 two real roots
+        # collide, and within RESONANCE_TOL of it they nearly do
+        V = resonance_velocities(P1, count=1)[0][0] + dv
+        with pytest.raises(ResonantVelocity):
+            real_roots(V, P1)
+        with pytest.raises(ResonantVelocity):
+            root_set(V, P1)
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("mu, alpha", [
+        (float("inf"), 0.0), (1.0, float("inf")), (1.0, float("nan"))])
+    def test_rejects_non_finite(self, mu, alpha):
+        with pytest.raises(ValueError):
+            ModelParams(mu, alpha)
+
 
 class TestBisectChange:
     def test_zero_tol_ends_at_adjacent_doubles(self):

@@ -18,7 +18,6 @@ from fkwaves import (
     is_resonant,
     kernel_jet,
     kinetic_curve,
-    kinetic_point,
     kinetic_wave,
     sigma_AC,
     solve_shape,
@@ -180,14 +179,14 @@ class TestWaveSolution:
 
 class TestKinetics:
     def test_frozen_v03(self, params):
-        kp = kinetic_point(0.3, params)
+        kp = kinetic_wave(0.3, params)
         assert kp.z == pytest.approx(Z_V03, abs=1e-7)
         assert kp.sigma == pytest.approx(SIGMA_V03, rel=1e-9)
         assert kp.branch == "new" and kp.admissible
 
     def test_mesh_self_convergence(self, params):
-        a = kinetic_point(0.25, params, m=40)
-        b = kinetic_point(0.25, params, m=80)
+        a = kinetic_wave(0.25, params, m=40)
+        b = kinetic_wave(0.25, params, m=80)
         assert a.z == pytest.approx(Z_V025_M40, abs=1e-7)
         assert abs(b.z - a.z) < 1e-6
         assert abs(b.sigma - a.sigma) < 1e-5
