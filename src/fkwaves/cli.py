@@ -170,7 +170,8 @@ def cmd_simulate(cfg: dict) -> int:
     _write_json(base + "_outcome.json", {
         "classification": out.classification,
         "velocity": None if np.isnan(out.velocity) else out.velocity,
-        "sigma": out.sigma, "flags": list(out.flags)})
+        "sigma": out.sigma, "flags": list(out.flags),
+        "backend": chain.BACKEND})
     return EXIT_OK
 
 
@@ -182,7 +183,8 @@ def cmd_threshold(cfg: dict) -> int:
             T=cfg["t_final"], dt=cfg["dt"], tol=cfg["tol"])
         _write_json(cfg["out"], {
             "sigma_D": res.sigma_D, "bracket": list(res.bracket),
-            "runs": [[s, c] for s, c in res.history]})
+            "runs": [[s, c] for s, c in res.history],
+            "backend": chain.BACKEND})
     else:
         V0 = bif.threshold_V0(params, tol=cfg["tol_v"])
         _write_json(cfg["out"], {"V0": V0, "mu": params.mu,

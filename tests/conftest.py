@@ -1,10 +1,11 @@
 """Shared fixtures: canonical parameter sets and cached reference waves.
 
 Before anything imports fkwaves, the compiled integrator core is built in
-place (setuptools recompiles only when the C source is newer than the built
-module), so the suite always tests the current core. A failed build puts
-its error output in the final summary; the suite then runs on the NumPy
-fallback, and test_active_backend_is_compiled names the failure.
+place (setuptools recompiles when the C source or setup.py, which holds the
+compile flags, is newer than the built module), so the suite always tests
+the current core. A failed build puts its error output in the final summary;
+the suite then runs on the NumPy fallback, and
+test_active_backend_is_compiled names the failure.
 """
 
 import subprocess

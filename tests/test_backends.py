@@ -34,6 +34,18 @@ def _bits(a):
     return a.view(np.uint64)
 
 
+def _two_phase(n, seed):
+    """A noisy kink state of n sites with one interior site at +0.0 and one
+    at -0.0 (the same site when n == 3)."""
+    rng = np.random.default_rng(seed)
+    u = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    u += 0.3 * rng.standard_normal(n)
+    v = 0.1 * rng.standard_normal(n)
+    u[1 + (n - 3) // 3] = 0.0
+    u[n - 2 - (n - 3) // 3] = -0.0
+    return u, v
+
+
 @st.composite
 def chain_runs(draw):
     """A noisy two-phase state with sites at exactly +0.0 and -0.0."""
@@ -85,6 +97,21 @@ class TestBitIdentity:
         ends = [0, -1]
         assert np.array_equal(_bits(u_b[ends]), _bits(u0[ends]))
         assert np.array_equal(_bits(v_b[ends]), _bits(v0[ends]))
+
+    # 3..19 sites give every remainder of an 8-lane loop over the n - 2
+    # interior sites, and the short chains that skip the vector loop;
+    # 1001 and 3001 are the depinning sweep's and the wave run's chains
+    @needs_core
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [*range(3, 20), 1001, 3001])
+    def test_every_vector_remainder_bit_identical(self, n, alpha):
+        u0, v0 = _two_phase(n, seed=n)
+        u_a, v_a, u_b, v_b = u0.copy(), v0.copy(), u0.copy(), v0.copy()
+        args = (1.0, 0.1, alpha, 0.05, 300)
+        _chain_numpy.run_chain(u_a, v_a, *args)
+        _chain_core.run_chain(u_b, v_b, *args)
+        assert np.array_equal(_bits(u_a), _bits(u_b))
+        assert np.array_equal(_bits(v_a), _bits(v_b))
 
 
 BAD_STATES = {

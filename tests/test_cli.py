@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fkwaves import ModelParams, kinetic_wave, resonance_velocities
+from fkwaves import BACKEND, ModelParams, kinetic_wave, resonance_velocities
 from fkwaves.cli import main
 
 V0_ALPHA0 = 0.3570147628397361
@@ -119,6 +119,7 @@ class TestSimulate:
         assert outcome["velocity"] == 0.0
         assert outcome["sigma"] == 0.05
         assert outcome["flags"] == []
+        assert outcome["backend"] == BACKEND
 
     def test_edge_run_records_its_flag(self, tmp_path):
         base = tmp_path / "edge"
@@ -128,6 +129,7 @@ class TestSimulate:
         assert outcome["classification"] == "Inconclusive"
         assert outcome["flags"] == ["EDGE"]
         assert outcome["velocity"] is None
+        assert outcome["backend"] == BACKEND
 
     def test_wave_ic_rejects_sigma(self, tmp_path):
         rc = main(["simulate", "--ic", "wave", "--velocity", "0.5",
