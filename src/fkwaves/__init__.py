@@ -27,6 +27,7 @@ from .dispersion import (
     RootSet,
     eval_L,
     eval_Lk,
+    near_axis_roots,
     real_roots,
     root_set,
     is_resonant,

@@ -40,13 +40,14 @@ from numpy.polynomial import chebyshev
 from .dispersion import (
     eval_L,
     eval_Lk,
+    near_axis_roots,
     real_roots,
     root_set,
     DEFAULT_N_PAIRS,
 )
 from .errors import QuadratureFail, RootCountMismatch, TruncationWarning
 from .params import ModelParams
-from .quadrature import KFAC, build_panels, tail_integral
+from .quadrature import KFAC, build_panels, tail_integral, tail_terms_needed
 
 # imaginary residue of analytically real sums beyond this means bad roots
 REALNESS_TOL = 1e-9
@@ -243,6 +244,23 @@ def _shaped(xi, out: np.ndarray):
 # quadrature route
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class PlanProvenance:
+    """How a KernelQuadrature's panel plan came about.
+
+    near_axis counts the strip roots above and below the axis that the plan
+    read, dense_retry says whether their search needed its dense seeds,
+    tail_terms is the length of the 1/L series behind the analytic tail,
+    and self_check is the largest difference in q between the panel sums
+    of the kernel's grid and of the refined grid, at most QUAD_SELF_TOL.
+    """
+
+    near_axis: tuple[int, int]
+    dense_retry: bool
+    tail_terms: int
+    self_check: float
+
+
 class KernelQuadrature:
     """Contour quadrature evaluator for q(xi) and U(xi) at sigma = Sigma(V).
 
@@ -255,11 +273,15 @@ class KernelQuadrature:
     ahead (r L_k > 0) counts as above the axis and is passed below, one
     radiating behind is passed above, and a damped root within POLE_BAND of
     the axis is passed on the side away from its Im k. Panels are graded
-    under every complex root within REFINE_BAND of the axis. The
-    oscillatory tail is integrated analytically. Construction checks q
-    against a refined panel grid and raises QuadratureFail if the two
-    disagree beyond QUAD_SELF_TOL. table("q") and table("U") are
-    piecewise-Chebyshev tables of the two on small lags.
+    under every complex root within REFINE_BAND of the axis. The plan
+    reads only those roots, so it comes from near_axis_roots: the roots of
+    the strip |Im k| < STRIP_HEIGHT, a little wider than REFINE_BAND,
+    checked by a winding count over the part of the strip where roots can
+    lie. The oscillatory tail is integrated analytically. Construction
+    checks the panel sums of q against a refined panel grid and raises
+    QuadratureFail if the two disagree beyond QUAD_SELF_TOL; provenance
+    records the plan's inputs and that check. table("q") and table("U")
+    are piecewise-Chebyshev tables of the two on small lags.
     """
 
     # contour arcs engage for damped poles closer to the axis than this
@@ -272,17 +294,28 @@ class KernelQuadrature:
         self.V = V
         self.params = params
         K = KFAC * np.sqrt(params.mu + 4.0) / V
-        roots = root_set(V, params, 60)
+        roots = near_axis_roots(V, params)
         self._refine = self._plan_refine(roots, K)
         self._arcs = self._plan_arcs(roots, K, params.alpha > 0.0)
         self._grid = self._make_grid(K, 1.0, 0)
         probe = np.array([0.0, 0.37, 1.0, -2.2])
-        fine = self._integral(probe, 0, self._make_grid(K, 0.5, 8))
+        # both grids end at the same K, so the analytic tail is the same
+        # term on both sides: the check compares the panel sums only
+        fine = self._integral(probe, 0, self._make_grid(K, 0.5, 8),
+                              tail=False)
         err = (2.0 * params.mu / np.pi) * float(np.max(np.abs(
-            self._integral(probe, 0) - fine)))
+            self._integral(probe, 0, tail=False) - fine)))
         if err > QUAD_SELF_TOL:
             raise QuadratureFail(f"panel quadrature self-check failed: "
                                  f"{err:.2e} > {QUAD_SELF_TOL:.0e}")
+        prov = self.provenance = PlanProvenance(
+            near_axis=(roots.upper.size, roots.lower.size),
+            dense_retry=roots.dense_retry,
+            tail_terms=tail_terms_needed(V, params, K), self_check=err)
+        log.debug("kernel at V=%r, alpha=%r: %d + %d near-axis roots%s, "
+                  "%d tail terms, self-check %.1e", V, params.alpha,
+                  *prov.near_axis, " (dense retry)" if prov.dense_retry
+                  else "", prov.tail_terms, prov.self_check)
         self._tables: dict[str, KernelTable] = {}
 
     @staticmethod
@@ -344,14 +377,15 @@ class KernelQuadrature:
         n = 0 if self.params.alpha > 0.0 else np.count_nonzero(k.imag == 0.0)
         return k, grid.weights / eval_L(k, self.V, self.params), n, grid.K
 
-    def _integral(self, xi: np.ndarray, p: int, grid=None) -> np.ndarray:
+    def _integral(self, xi: np.ndarray, p: int, grid=None,
+                  tail: bool = True) -> np.ndarray:
         """Part p of the contour integral of e^{ik xi} / (k^p L(k)) dk.
 
         The real part for p = 0 and the imaginary part for p = 1. The
         first n nodes carry only that part, cos or sin(k xi) / (k^p L), in
         real arithmetic; the others carry e^{ik xi} / (k^p L). Points go in
         blocks of ROW_BLOCK. grid is a tuple from _make_grid, by default
-        the kernel's.
+        the kernel's; tail=False leaves out the analytic tail beyond its K.
         """
         part = (np.real, np.imag)[p]
         k, c, n, K = grid or self._grid
@@ -360,10 +394,11 @@ class KernelQuadrature:
         out = np.empty(xi.shape)
         for lo in range(0, xi.size, ROW_BLOCK):
             x = xi[lo:lo + ROW_BLOCK]
+            z = np.exp(1j * np.outer(x, k[n:])) @ c[n:]
+            if tail:
+                z = z + tail_integral(x, self.V, self.params, K, extra_p=p)
             out[lo:lo + ROW_BLOCK] = \
-                (np.cos, np.sin)[p](np.outer(x, kr)) @ cr + part(
-                    np.exp(1j * np.outer(x, k[n:])) @ c[n:]
-                    + tail_integral(x, self.V, self.params, K, extra_p=p))
+                (np.cos, np.sin)[p](np.outer(x, kr)) @ cr + part(z)
         return out
 
     def q(self, xi) -> np.ndarray:

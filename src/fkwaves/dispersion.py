@@ -11,7 +11,8 @@ Complex roots control the core shape through residue sums. Velocities where a
 real root is degenerate (L = dL/dk = 0) are resonances; kinetic quantities
 develop cusps or poles there. real_roots refuses a velocity within
 RESONANCE_TOL of one with ResonantVelocity, and every undamped computation
-(root_set, the residue sums, the kernel quadrature) passes through it.
+(root_set, near_axis_roots, the residue sums, the kernel quadrature) passes
+through it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ AXIS_OFFSET = 5e-5
 SPLIT = 64
 # boundary refinement rounds of the winding count
 WINDING_ROUNDS = 40
-# smallest damping root_set accepts: below it the damped phonon roots sit
+# the near-axis strip 0 < |Im k| < STRIP_HEIGHT of near_axis_roots reaches
+# a little past the kernel quadrature's REFINE_BAND = 0.5, and its first
+# Newton seeds lie on rows at these Im k
+STRIP_HEIGHT = 0.6
+STRIP_SEED_ROWS = (0.05, 0.3, 0.55)
+# smallest damping the root searches accept: below it the damped phonon roots sit
 # closer to the real axis than the search can tell apart from it
 MIN_DAMPING = 1e-10
 
@@ -224,27 +230,26 @@ def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
     raise RootCountMismatch("winding refinement did not settle")
 
 
-def _folded_roots(V: float, params: ModelParams, n_roots: int, sgn: float,
-                  dense: bool) -> np.ndarray:
+def _phonon_seeds(V: float, params: ModelParams, sgn: float) -> np.ndarray:
+    """Damped seeds: the alpha = 0 phonon roots, which damping shifts
+    slightly off the axis, moved 1e-3 into the half plane; none undamped."""
+    if params.alpha == 0.0:
+        return np.array([])
+    undamped = _real_axis(V, params.mu)[1]
+    return np.concatenate([undamped, -undamped]) + sgn * 1e-3j
+
+
+def _fold(ks: np.ndarray, params: ModelParams, sgn: float) -> np.ndarray:
     """Distinct roots with sgn Im k > 0 and Re k >= 0, sorted by |Im| then Re.
 
-    Every Newton-converged seed is folded onto Re k >= 0 by the mirror
-    k -> -conj(k), under which the half plane is closed; real parts within
-    1e-9 of the imaginary axis snap onto it. A point is dropped when it lies
-    within DEDUPE_RADIUS (relative) of an earlier one, and since the points
-    are sorted by |Im|, only the few before it in that band are compared.
+    ks are Newton-converged points. Each is folded onto Re k >= 0 by the
+    mirror k -> -conj(k), under which the half plane is closed; real parts
+    within 1e-9 of the imaginary axis snap onto it. A point is dropped when
+    it lies within DEDUPE_RADIUS (relative) of an earlier one, and since the
+    points are sorted by |Im|, only the few before it in that band are
+    compared. Undamped, points within AXIS_OFFSET of the axis are the real
+    roots and are dropped too.
     """
-    step = 0.35 if dense else 0.7
-    xs = np.arange(0.0, np.sqrt(params.mu + 4.0) / V + 2.0 * np.pi, step)
-    ys = np.arange(0.05, 9.0, 0.45 if dense else 0.9)
-    gx, gy = np.meshgrid(xs, ys)
-    seeds = [(gx + sgn * 1j * gy).ravel(),
-             _strip_predictors(V, params, n_roots // 2 + 8, sgn)]
-    if params.alpha > 0.0:
-        # damping shifts the alpha = 0 phonon roots slightly off axis
-        undamped = _real_axis(V, params.mu)[1]
-        seeds.append(np.concatenate([undamped, -undamped]) + sgn * 1e-3j)
-    ks = _newton_complex(np.concatenate(seeds), V, params)
     floor = 1e-12 if params.alpha > 0.0 else AXIS_OFFSET
     ks = ks[sgn * ks.imag > floor]
     re = np.abs(ks.real)
@@ -261,12 +266,60 @@ def _folded_roots(V: float, params: ModelParams, n_roots: int, sgn: float,
     return ks[~dup]
 
 
+def _family_sizes(reps: np.ndarray) -> np.ndarray:
+    """Roots each representative stands for: 2 off the imaginary axis (k
+    and its mirror -conj(k)), 1 on it."""
+    return np.where(reps.real > 0.0, 2, 1)
+
+
+def _unfold(reps: np.ndarray) -> np.ndarray:
+    """Each family as (-conj(k), k); an axis root is its own mirror."""
+    both = np.column_stack([-np.conj(reps), reps])
+    return both[np.column_stack([reps.real > 0.0, np.ones(reps.size, bool)])]
+
+
+def _band_count(V: float, params: ModelParams, sgn: float, x_max: float,
+                y_hi: float) -> int:
+    """Winding count of the roots with |Re k| < x_max and 0 < sgn Im k < y_hi.
+
+    Undamped, the near edge sits at half AXIS_OFFSET, below every complex
+    root that _fold keeps and above the real roots; damped, on the axis.
+    """
+    y_lo = 0.0 if params.alpha > 0.0 else 0.5 * AXIS_OFFSET
+    y0, y1 = (-y_hi, -y_lo) if sgn < 0.0 else (y_lo, y_hi)
+    return _winding_count(V, params, -x_max, x_max, y0, y1)
+
+
+def _retry_dense(attempt, *args) -> tuple[np.ndarray, bool]:
+    """attempt(*args, dense=False), or on RootCountMismatch the same with
+    dense=True, whose mismatch propagates; and whether the retry ran."""
+    try:
+        return attempt(*args, dense=False), False
+    except RootCountMismatch:
+        return attempt(*args, dense=True), True
+
+
 def _half_plane_attempt(V: float, params: ModelParams, n_roots: int,
                         sgn: float, dense: bool) -> np.ndarray:
-    """One search of _half_plane_roots; RootCountMismatch when it fails."""
-    reps = _folded_roots(V, params, n_roots, sgn, dense)
-    # a root off the imaginary axis stands for its mirror family of two
-    total = np.cumsum(np.where(reps.real > 0.0, 2, 1))
+    """At least n_roots complex roots with sgn Im k > 0, sorted by |Im|
+    then |Re|; RootCountMismatch when the search fails.
+
+    Mirror symmetry L(-conj(k)) = conj(L(k)) pairs each off-axis root with a
+    partner in the same half plane, so the search keeps one representative
+    per family and the returned count is rounded up when a cut would split a
+    pair. Verified with an argument-principle winding count over the band
+    below the cut; dense seeds the grid twice as finely.
+    """
+    step = 0.35 if dense else 0.7
+    xs = np.arange(0.0, np.sqrt(params.mu + 4.0) / V + 2.0 * np.pi, step)
+    ys = np.arange(0.05, 9.0, 0.45 if dense else 0.9)
+    gx, gy = np.meshgrid(xs, ys)
+    seeds = np.concatenate([
+        (gx + sgn * 1j * gy).ravel(),
+        _strip_predictors(V, params, n_roots // 2 + 8, sgn),
+        _phonon_seeds(V, params, sgn)])
+    reps = _fold(_newton_complex(seeds, V, params), params, sgn)
+    total = np.cumsum(_family_sizes(reps))
     n_keep = int(np.searchsorted(total, n_roots)) + 1
     if n_keep >= reps.size:
         raise RootCountMismatch(
@@ -276,52 +329,89 @@ def _half_plane_attempt(V: float, params: ModelParams, n_roots: int,
     last_im, cut_im = abs(kept[-1].imag), abs(reps[n_keep].imag)
     if cut_im - last_im < 1e-9:
         raise RootCountMismatch("could not separate root families at the cut")
-    y_hi = 0.5 * (last_im + cut_im)
-    y_lo = 0.0 if params.alpha > 0.0 else 0.5 * AXIS_OFFSET
     x_max = float(np.max(kept.real)) + 0.5 * np.pi
-    y0, y1 = (-y_hi, -y_lo) if sgn < 0.0 else (y_lo, y_hi)
-    n_inside = _winding_count(V, params, -x_max, x_max, y0, y1)
+    n_inside = _band_count(V, params, sgn, x_max, 0.5 * (last_im + cut_im))
     if n_inside != total[n_keep - 1]:
         raise RootCountMismatch(
             f"winding count {n_inside} != located {total[n_keep - 1]} "
             f"(V={V}, {'lower' if sgn < 0.0 else 'upper'} half)")
-    # unfold each family as (-conj(k), k); an axis root is its own mirror
-    both = np.column_stack([-np.conj(kept), kept])
-    return both[np.column_stack([kept.real > 0.0, np.ones(n_keep, bool)])]
+    return _unfold(kept)
 
 
-def _half_plane_roots(V: float, params: ModelParams, n_roots: int,
-                      lower: bool = False) -> np.ndarray:
-    """At least n_roots complex roots in one half plane, sorted by |Im| then |Re|.
+def _strip_attempt(V: float, params: ModelParams, sgn: float,
+                   dense: bool) -> np.ndarray:
+    """Every complex root with 0 < sgn Im k < STRIP_HEIGHT, sorted by |Im|
+    then |Re|; RootCountMismatch when the winding count disagrees.
 
-    Mirror symmetry L(-conj(k)) = conj(L(k)) pairs each off-axis root with a
-    partner in the same half plane, so the search keeps one representative
-    per family and the returned count is rounded up when a cut would split a
-    pair. Verified with an argument-principle winding count over the
-    searched band; on mismatch the seed grid is densified once before giving
-    up.
+    Newton starts from the rows STRIP_SEED_ROWS (twice as many rows, at
+    half the spacing along them, when dense) and, damped, from the shifted
+    phonons. With k = x + iy, |Vk + i alpha| >= V|x| and |k| >= |x| give
+    |V^2 k^2 + i alpha V k| >= V^2 x^2, while |mu + 2 - 2 cos k| <=
+    mu + 2 + 2 cosh y. So L has no zero with |y| <= STRIP_HEIGHT beyond
+    x_b = sqrt(mu + 2 + 2 cosh STRIP_HEIGHT) / V, and the winding count over
+    [-x_b - 1, x_b + 1] times the strip counts every root in it.
     """
-    sgn = -1.0 if lower else 1.0
-    try:
-        return _half_plane_attempt(V, params, n_roots, sgn, dense=False)
-    except RootCountMismatch:
-        return _half_plane_attempt(V, params, n_roots, sgn, dense=True)
+    x_b = np.sqrt(params.mu + 2.0 + 2.0 * np.cosh(STRIP_HEIGHT)) / V
+    rows = np.array(STRIP_SEED_ROWS)
+    if dense:
+        rows = np.linspace(rows[0], rows[-1], 2 * rows.size)
+    gx, gy = np.meshgrid(np.arange(0.0, x_b + 0.7, 0.35 if dense else 0.7),
+                         rows)
+    seeds = np.concatenate([(gx + sgn * 1j * gy).ravel(),
+                            _phonon_seeds(V, params, sgn)])
+    reps = _fold(_newton_complex(seeds, V, params), params, sgn)
+    reps = reps[np.abs(reps.imag) < STRIP_HEIGHT]
+    located = int(_family_sizes(reps).sum())
+    n_inside = _band_count(V, params, sgn, x_b + 1.0, STRIP_HEIGHT)
+    if n_inside != located:
+        raise RootCountMismatch(
+            f"winding count {n_inside} != located {located} in the strip "
+            f"0 < {'-Im' if sgn < 0.0 else 'Im'} k < {STRIP_HEIGHT} "
+            f"(V={V}, alpha={params.alpha}, "
+            f"{'dense' if dense else 'first'} seeds)")
+    return _unfold(reps)
 
 
 @dataclass(frozen=True)
 class RootSet:
     """The dispersion roots behind the residue sums at one velocity.
 
-    upper / lower hold the complex roots of smallest |Im k| in each half
-    plane, sorted by |Im| then |Re|; real_ahead / real_behind the positive
-    real roots (alpha = 0 only) radiating ahead of (k L_k > 0) or behind the
+    upper / lower hold complex roots of smallest |Im k| in each half plane,
+    sorted by |Im| then |Re|; real_ahead / real_behind the positive real
+    roots (alpha = 0 only) radiating ahead of (k L_k > 0) or behind the
     front, ascending. A real root's mirror -k belongs to the same class.
+    dense_retry says whether a half plane's search needed its dense seeds.
     """
 
     upper: np.ndarray
     lower: np.ndarray
     real_ahead: np.ndarray
     real_behind: np.ndarray
+    dense_retry: bool = False
+
+
+def _complex_roots(attempt, V: float, params: ModelParams, *args) -> RootSet:
+    """The RootSet whose halves are attempt(V, params, *args, sgn, dense).
+
+    Damping 0 < alpha < MIN_DAMPING raises ValueError, and an undamped
+    resonant V raises ResonantVelocity from real_roots. For alpha = 0 the
+    lower half is the conjugate of the upper; with damping the halves are
+    searched independently.
+    """
+    if 0.0 < params.alpha < MIN_DAMPING:
+        raise ValueError(
+            f"damping alpha = {params.alpha:g} is below the root search's "
+            f"floor MIN_DAMPING = {MIN_DAMPING:g}; use alpha = 0 for an "
+            "undamped chain")
+    reals = real_roots(V, params) if params.alpha == 0.0 else np.array([])
+    ahead = reals * eval_Lk(reals, V, params).real > 0.0
+    upper, retry = _retry_dense(attempt, V, params, *args, 1.0)
+    if params.alpha == 0.0:
+        lower = np.conj(upper)
+    else:
+        lower, retry_lower = _retry_dense(attempt, V, params, *args, -1.0)
+        retry |= retry_lower
+    return RootSet(upper, lower, reals[ahead], reals[~ahead], retry)
 
 
 @lru_cache(maxsize=256)
@@ -331,24 +421,25 @@ def root_set(V: float, params: ModelParams,
 
     Each half plane holds n_pairs complex roots, or n_pairs + 1 where the
     cut would split a mirror pair (k, -conj k). The default DEFAULT_N_PAIRS
-    is the length of the residue series (sigma_AC, convolve); the kernel
-    quadrature's contour plan needs only the first few dozen pairs and asks
-    for fewer. For alpha = 0 the lower half
-    is the conjugate of the upper; with damping the halves are searched
-    independently. Damping 0 < alpha < MIN_DAMPING raises ValueError, and
-    an undamped resonant V raises ResonantVelocity from real_roots.
+    is the length of the residue series (sigma_AC, convolve). Damping
+    0 < alpha < MIN_DAMPING raises ValueError, and an undamped resonant V
+    raises ResonantVelocity from real_roots.
     """
-    if 0.0 < params.alpha < MIN_DAMPING:
-        raise ValueError(
-            f"damping alpha = {params.alpha:g} is below the root search's "
-            f"floor MIN_DAMPING = {MIN_DAMPING:g}; use alpha = 0 for an "
-            "undamped chain")
-    reals = real_roots(V, params) if params.alpha == 0.0 else np.array([])
-    ahead = reals * eval_Lk(reals, V, params).real > 0.0
-    upper = _half_plane_roots(V, params, n_pairs)
-    lower = np.conj(upper) if params.alpha == 0.0 \
-        else _half_plane_roots(V, params, n_pairs, lower=True)
-    return RootSet(upper, lower, reals[ahead], reals[~ahead])
+    return _complex_roots(_half_plane_attempt, V, params, n_pairs)
+
+
+def near_axis_roots(V: float, params: ModelParams) -> RootSet:
+    """The roots a kernel quadrature's contour plan reads.
+
+    upper / lower hold every complex root with |Im k| < STRIP_HEIGHT,
+    unfolded and sorted as in root_set, and real_ahead / real_behind are
+    root_set's. Newton starts from a few rows of seeds inside the strip, and
+    a winding count over the part of the strip where roots can lie checks
+    what it found (_strip_attempt). A mismatch re-seeds densely once, and a
+    second one raises RootCountMismatch. Tiny damping and resonant V are
+    refused as in root_set.
+    """
+    return _complex_roots(_strip_attempt, V, params)
 
 
 # ---------------------------------------------------------------------------

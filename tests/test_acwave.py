@@ -23,16 +23,19 @@ from fkwaves import (
     kernel_q,
     q_integral,
     sigma_AC,
+    threshold_V0,
 )
-from fkwaves import acwave
+from fkwaves import acwave, dispersion
 from fkwaves.acwave import (
+    QUAD_SELF_TOL,
     TABLE_TOL,
     UNIT_ATOM,
     KernelQuadrature,
     convolve,
     quad_kernel,
 )
-from fkwaves.dispersion import is_resonant
+from fkwaves.dispersion import is_resonant, root_set
+from fkwaves.quadrature import KFAC, tail_terms_needed
 
 # frozen module outputs; guard against silent drift of either route
 SIGMA_V05 = 0.13365213078946997
@@ -171,6 +174,54 @@ class TestTwoRouteKernel:
         assume(not is_resonant(V, p))
         qk = KernelQuadrature(V, p)
         assert np.abs(qk.q(self.XI) - kernel_q(self.XI, V, p)).max() < self.TOL
+
+
+class TestKernelPlan:
+    @pytest.mark.parametrize("V,alpha", [
+        (0.2, 0.0), (0.2443848, 0.0), (0.1032124, 0.0), (0.3, 0.1),
+        (0.1032124, 1e-3), (0.05, 0.1)])
+    def test_matches_root_set_plan(self, V, alpha):
+        # the plan from the strip's roots against the plan from the 60
+        # pairs per half plane that kernels were planned from before
+        p = ModelParams(1.0, alpha)
+        qk = KernelQuadrature(V, p)
+        K = KFAC * np.sqrt(p.mu + 4.0) / V
+        roots = root_set(V, p, 60)
+        for got, want in ((qk._refine, qk._plan_refine(roots, K)),
+                          (qk._arcs, qk._plan_arcs(roots, K, alpha > 0.0))):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.allclose(g, w, rtol=0.0, atol=2e-15)
+
+    def test_records_provenance(self, caplog):
+        p = ModelParams(1.0, 0.1)
+        with caplog.at_level(logging.DEBUG, logger="fkwaves"):
+            qk = KernelQuadrature(0.15, p)
+        prov = qk.provenance
+        assert 0.0 < prov.self_check <= QUAD_SELF_TOL
+        strip = dispersion.near_axis_roots(0.15, p)
+        assert prov.near_axis == (strip.upper.size, strip.lower.size)
+        assert not prov.dense_retry
+        assert prov.tail_terms == tail_terms_needed(
+            0.15, p, KFAC * np.sqrt(p.mu + 4.0) / 0.15)
+        built = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("kernel at V=0.15")]
+        assert len(built) == 1
+        assert f"{prov.near_axis[0]} + {prov.near_axis[1]} near-axis" \
+            in built[0]
+
+    def test_cold_threshold_reads_no_root_set(self, monkeypatch):
+        # the onset needs only q(0), whose kernels plan from the strip
+        calls = []
+        for module in (dispersion, acwave):
+            full = module.root_set
+            monkeypatch.setattr(module, "root_set", lambda *a, f=full:
+                                calls.append(a) or f(*a))
+        quad_kernel.cache_clear()
+        V0 = threshold_V0(ModelParams(1.0, 0.0))
+        assert V0 == 0.3570147628397361
+        assert quad_kernel.cache_info().misses > 60
+        assert calls == []
 
 
 class TestKernelTable:

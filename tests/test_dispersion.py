@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from fkwaves import (
     ModelParams,
     ResonantVelocity,
+    RootCountMismatch,
     eval_L,
     eval_Lk,
     is_resonant,
@@ -22,7 +23,14 @@ from fkwaves import (
     root_set,
     sigma_AC,
 )
-from fkwaves.dispersion import MIN_DAMPING, bisect_change
+from fkwaves import dispersion
+from fkwaves.acwave import QUAD_SELF_TOL, quad_kernel
+from fkwaves.dispersion import (
+    MIN_DAMPING,
+    STRIP_HEIGHT,
+    bisect_change,
+    near_axis_roots,
+)
 
 FD_TOL = 1e-6
 ROOT_TOL = 1e-8
@@ -198,6 +206,73 @@ class TestComplexRoots:
                     assert np.all(np.abs(step) < 1e-12 * (1.0 + np.abs(half)))
 
 
+def _near_resonance(mu, n, dv):
+    return resonance_velocities(ModelParams(mu, 0.0), count=n)[n - 1][0] + dv
+
+
+class TestNearAxisRoots:
+    # (mu, alpha, V): both dampings, beside the resonances on both sides,
+    # and the slow damped end of the threshold scan, where the strip is
+    # widest (x_b ~ 46)
+    CASES = [
+        (1.0, 0.0, 0.2), (1.0, 0.1, 0.2), (1.0, 0.1, 0.05),
+        (0.5, 0.0, 0.13), (4.0, 0.1, 0.3),
+        (1.0, 0.0, _near_resonance(1.0, 1, 2e-5)),
+        (1.0, 0.0, _near_resonance(1.0, 2, -1e-4)),
+        (2.0, 0.1, _near_resonance(2.0, 3, 1e-3)),
+        (4.0, 0.0, _near_resonance(4.0, 8, -2e-3)),
+    ]
+
+    @pytest.mark.parametrize("mu,alpha,V", CASES)
+    def test_matches_root_set(self, mu, alpha, V):
+        # the strip holds exactly the strip roots of a 60-pair root set,
+        # whose cut lies above the strip, in the same order
+        p = ModelParams(mu, alpha)
+        near, full = near_axis_roots(V, p), root_set(V, p, 60)
+        for strip, half in ((near.upper, full.upper),
+                            (near.lower, full.lower)):
+            assert abs(half[-1].imag) > STRIP_HEIGHT
+            ref = half[np.abs(half.imag) < STRIP_HEIGHT]
+            assert strip.shape == ref.shape
+            assert np.max(np.abs(strip - ref), initial=0.0) < 1e-9
+        assert np.array_equal(near.real_ahead, full.real_ahead)
+        assert np.array_equal(near.real_behind, full.real_behind)
+        assert not near.dense_retry
+
+    def _miscount(self, monkeypatch, wrong_calls):
+        # the winding count is off by one on the first wrong_calls calls
+        count, calls = dispersion._winding_count, []
+
+        def miscount(*args):
+            calls.append(args)
+            return count(*args) + (len(calls) <= wrong_calls)
+
+        monkeypatch.setattr(dispersion, "_winding_count", miscount)
+        return calls
+
+    def test_dense_retry_recovers(self, monkeypatch):
+        p = ModelParams(1.0, 0.1)
+        calls = self._miscount(monkeypatch, 1)
+        near = near_axis_roots(0.3, p)
+        assert near.dense_retry and len(calls) == 3
+        ref = root_set(0.3, p, 60)
+        assert np.allclose(near.upper, ref.upper[:near.upper.size],
+                           rtol=0.0, atol=1e-9)
+
+    def test_count_mismatch_raises(self, monkeypatch):
+        calls = self._miscount(monkeypatch, 2)
+        with pytest.raises(RootCountMismatch,
+                           match=r"strip 0 < Im k < 0\.6 \(V=0\.3,.*dense"):
+            near_axis_roots(0.3, P1)
+        assert len(calls) == 2
+
+    def test_refuses_like_root_set(self):
+        with pytest.raises(ValueError, match="MIN_DAMPING"):
+            near_axis_roots(0.3, ModelParams(1.0, 1e-12))
+        with pytest.raises(ResonantVelocity):
+            near_axis_roots(_near_resonance(1.0, 1, 0.0), P1)
+
+
 class TestResonances:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 4.0])
     def test_against_scalar_reduction(self, mu):
@@ -254,6 +329,20 @@ class TestResonances:
             real_roots(V, P1)
         with pytest.raises(ResonantVelocity):
             root_set(V, P1)
+
+
+    def test_near_coincident_resonances(self):
+        # at mu = 1 the fifth and sixth resonances lie 7.3e-6 apart, so
+        # their exclusion zones overlap: the pair is refused as one, and
+        # just outside it the kernel builds
+        (v5, _), (v6, _) = resonance_velocities(P1, count=6)[4:]
+        assert 0.0 < v5 - v6 < 2.0 * dispersion.RESONANCE_TOL
+        mid = 0.5 * (v5 + v6)
+        for f in (real_roots, near_axis_roots, quad_kernel):
+            with pytest.raises(ResonantVelocity):
+                f(mid, P1)
+        for V in (v5 + 1.2e-5, v6 - 1.2e-5):
+            assert quad_kernel(V, P1).provenance.self_check <= QUAD_SELF_TOL
 
 
 class TestModelParams:
