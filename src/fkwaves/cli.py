@@ -50,9 +50,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str | None, header: str, rows) -> None:
+def _csv(header: str, rows) -> str:
     lines = [header] + [",".join(_fmt(c) for c in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(path: str | None, text: str) -> None:
+    """text to the file at path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -60,13 +68,9 @@ def _write_csv(path: str | None, header: str, rows) -> None:
             fh.write(text)
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_sidecar(path: str, wave: newwave.WaveSolution) -> None:
+    _write(path, _json({"V": wave.V, "z": wave.z, "sigma": wave.sigma,
+                        "residual": wave.residual}))
 
 
 def _params(cfg: dict) -> ModelParams:
@@ -88,7 +92,7 @@ def cmd_kinetic(cfg: dict) -> int:
     pts = newwave.kinetic_curve(_velocity_grid(cfg), params, m=cfg["m"],
                                 kernel=cfg["kernel"])
     rows = [(p.V, p.sigma, p.z, p.branch, p.admissible, p.flag) for p in pts]
-    _write_csv(cfg["out"], "V,sigma,z,branch,admissible,flag", rows)
+    _write(cfg["out"], _csv("V,sigma,z,branch,admissible,flag", rows))
     return EXIT_OK
 
 
@@ -98,10 +102,8 @@ def cmd_wave(cfg: dict) -> int:
                                 kernel=cfg["kernel"])
     xi = np.linspace(cfg["xi_min"], cfg["xi_max"], cfg["n_samples"])
     u = wave.evaluate(xi, method="residue")
-    _write_csv(cfg["out"] + ".csv", "xi,u", zip(xi, u))
-    _write_json(cfg["out"] + ".json", {
-        "V": wave.V, "z": wave.z, "sigma": wave.sigma,
-        "residual": wave.residual})
+    _write(cfg["out"] + ".csv", _csv("xi,u", zip(xi, u)))
+    _write_sidecar(cfg["out"] + ".json", wave)
     return EXIT_OK
 
 
@@ -109,11 +111,9 @@ def cmd_shape(cfg: dict) -> int:
     params = _params(cfg)
     wave = newwave.kinetic_wave(cfg["velocity"], params, m=cfg["m"],
                                 kernel=cfg["kernel"])
-    _write_csv(cfg["out"] + ".csv", "s,mass",
-               zip(wave.shape.s, wave.shape.a))
-    _write_json(cfg["out"] + ".json", {
-        "V": wave.V, "z": wave.z, "sigma": wave.sigma,
-        "residual": wave.residual})
+    _write(cfg["out"] + ".csv",
+           _csv("s,mass", zip(wave.shape.s, wave.shape.a)))
+    _write_sidecar(cfg["out"] + ".json", wave)
     return EXIT_OK
 
 
@@ -131,15 +131,15 @@ def cmd_bifurcation(cfg: dict) -> int:
                                          kernel=cfg["kernel"]).z
         rows.append((V, z_num, z_lin, z_qua, jet.q0, jet.q_plus,
                      jet.q_minus))
-    _write_csv(cfg["out"],
-               "V,z_numeric,z_linear,z_quartic,q0,q_plus,q_minus", rows)
+    _write(cfg["out"],
+           _csv("V,z_numeric,z_linear,z_quartic,q0,q_plus,q_minus", rows))
     return EXIT_OK
 
 
 def cmd_resonances(cfg: dict) -> int:
     params = _params(cfg)
     rows = resonance_velocities(params, count=cfg["count"])
-    _write_csv(cfg["out"], "V,k", rows)
+    _write(cfg["out"], _csv("V,k", rows))
     return EXIT_OK
 
 
@@ -163,15 +163,15 @@ def cmd_simulate(cfg: dict) -> int:
         state = chain.init_from_wave(wave, cfg["n"], n0=cfg["n0"])
     out = chain.run_and_classify(state, cfg["t_final"], cfg["dt"])
     base = cfg["out"]
-    _write_csv(base + "_front.csv", "t,nu", zip(out.times, out.fronts))
+    _write(base + "_front.csv", _csv("t,nu", zip(out.times, out.fronts)))
     n_idx = np.arange(state.N + 1)
-    _write_csv(base + "_snapshot.csv", "n,u,v",
-               zip(n_idx, state.u, state.v))
-    _write_json(base + "_outcome.json", {
+    _write(base + "_snapshot.csv",
+           _csv("n,u,v", zip(n_idx, state.u, state.v)))
+    _write(base + "_outcome.json", _json({
         "classification": out.classification,
         "velocity": None if np.isnan(out.velocity) else out.velocity,
         "sigma": out.sigma, "flags": list(out.flags),
-        "backend": chain.BACKEND})
+        "backend": chain.BACKEND}))
     return EXIT_OK
 
 
@@ -181,14 +181,13 @@ def cmd_threshold(cfg: dict) -> int:
         res = chain.sweep_dynamic_threshold(
             params, cfg["sigma_lo"], cfg["sigma_hi"], N=cfg["n"],
             T=cfg["t_final"], dt=cfg["dt"], tol=cfg["tol"])
-        _write_json(cfg["out"], {
-            "sigma_D": res.sigma_D, "bracket": list(res.bracket),
-            "runs": [[s, c] for s, c in res.history],
-            "backend": chain.BACKEND})
+        payload = {"sigma_D": res.sigma_D, "bracket": list(res.bracket),
+                   "runs": [[s, c] for s, c in res.history],
+                   "backend": chain.BACKEND}
     else:
         V0 = bif.threshold_V0(params, tol=cfg["tol_v"])
-        _write_json(cfg["out"], {"V0": V0, "mu": params.mu,
-                                 "alpha": params.alpha})
+        payload = {"V0": V0, "mu": params.mu, "alpha": params.alpha}
+    _write(cfg["out"], _json(payload))
     return EXIT_OK
 
 

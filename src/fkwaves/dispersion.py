@@ -278,98 +278,88 @@ def _unfold(reps: np.ndarray) -> np.ndarray:
     return both[np.column_stack([reps.real > 0.0, np.ones(reps.size, bool)])]
 
 
-def _band_count(V: float, params: ModelParams, sgn: float, x_max: float,
-                y_hi: float) -> int:
-    """Winding count of the roots with |Re k| < x_max and 0 < sgn Im k < y_hi.
+def _x_bound(V: float, params: ModelParams, height: float) -> float:
+    """|Re k| of every zero of L with |Im k| <= height is below this.
 
-    Undamped, the near edge sits at half AXIS_OFFSET, below every complex
-    root that _fold keeps and above the real roots; damped, on the axis.
+    With k = x + iy, |Vk + i alpha| >= V|x| and |k| >= |x| give
+    |V^2 k^2 + i alpha V k| >= V^2 x^2, while |mu + 2 - 2 cos k| <=
+    mu + 2 + 2 cosh y, so L has no zero with |y| <= height beyond
+    sqrt(mu + 2 + 2 cosh height) / V.
     """
-    y_lo = 0.0 if params.alpha > 0.0 else 0.5 * AXIS_OFFSET
-    y0, y1 = (-y_hi, -y_lo) if sgn < 0.0 else (y_lo, y_hi)
-    return _winding_count(V, params, -x_max, x_max, y0, y1)
+    return np.sqrt(params.mu + 2.0 + 2.0 * np.cosh(height)) / V
 
 
-def _retry_dense(attempt, *args) -> tuple[np.ndarray, bool]:
-    """attempt(*args, dense=False), or on RootCountMismatch the same with
-    dense=True, whose mismatch propagates; and whether the retry ran."""
-    try:
-        return attempt(*args, dense=False), False
-    except RootCountMismatch:
-        return attempt(*args, dense=True), True
+def _residue_height(reps: np.ndarray, n_roots: int) -> float:
+    """Midway across the |Im| gap above the family holding the n_roots-th
+    root, so a cut never splits a mirror pair; inf when the search found
+    no family above it."""
+    n_keep = int(np.searchsorted(np.cumsum(_family_sizes(reps)), n_roots)) + 1
+    if n_keep >= reps.size:
+        return np.inf
+    return 0.5 * (abs(reps[n_keep - 1].imag) + abs(reps[n_keep].imag))
 
 
-def _half_plane_attempt(V: float, params: ModelParams, n_roots: int,
-                        sgn: float, dense: bool) -> np.ndarray:
-    """At least n_roots complex roots with sgn Im k > 0, sorted by |Im|
-    then |Re|; RootCountMismatch when the search fails.
+def _band_attempt(V: float, params: ModelParams, n_roots: int, sgn: float,
+                  dense: bool) -> np.ndarray:
+    """Every complex root with 0 < sgn Im k < H, sorted by |Im| then |Re|;
+    RootCountMismatch when the search fails.
 
-    Mirror symmetry L(-conj(k)) = conj(L(k)) pairs each off-axis root with a
-    partner in the same half plane, so the search keeps one representative
-    per family and the returned count is rounded up when a cut would split a
-    pair. Verified with an argument-principle winding count over the band
-    below the cut; dense seeds the grid twice as finely.
+    n_roots = 0 asks for the near-axis strip, H = STRIP_HEIGHT: Newton
+    starts from the rows STRIP_SEED_ROWS (twice as many rows, at half the
+    spacing along them, when dense). n_roots > 0 asks for a residue set:
+    Newton starts from a grid up to Im k = 9 (twice as fine when dense) and
+    from _strip_predictors, and H is _residue_height, so the band holds
+    n_roots or n_roots + 1 roots. Damped, the shifted phonons seed both.
+    Mirror symmetry L(-conj(k)) = conj(L(k)) pairs each off-axis root with
+    a partner in the same half plane, so the search keeps one
+    representative per family. The winding count over
+    [-x_b(H) - 1, x_b(H) + 1] times the band (_x_bound) counts every root
+    in it and must match the roots located. Undamped, the band's near edge
+    sits at half AXIS_OFFSET, below every complex root that _fold keeps and
+    above the real roots; damped, on the axis.
     """
     step = 0.35 if dense else 0.7
-    xs = np.arange(0.0, np.sqrt(params.mu + 4.0) / V + 2.0 * np.pi, step)
-    ys = np.arange(0.05, 9.0, 0.45 if dense else 0.9)
-    gx, gy = np.meshgrid(xs, ys)
-    seeds = np.concatenate([
-        (gx + sgn * 1j * gy).ravel(),
-        _strip_predictors(V, params, n_roots // 2 + 8, sgn),
-        _phonon_seeds(V, params, sgn)])
-    reps = _fold(_newton_complex(seeds, V, params), params, sgn)
-    total = np.cumsum(_family_sizes(reps))
-    n_keep = int(np.searchsorted(total, n_roots)) + 1
-    if n_keep >= reps.size:
-        raise RootCountMismatch(
-            f"found only {total[-1] if total.size else 0} roots in half "
-            f"plane, wanted {n_roots}")
-    kept = reps[:n_keep]
-    last_im, cut_im = abs(kept[-1].imag), abs(reps[n_keep].imag)
-    if cut_im - last_im < 1e-9:
-        raise RootCountMismatch("could not separate root families at the cut")
-    x_max = float(np.max(kept.real)) + 0.5 * np.pi
-    n_inside = _band_count(V, params, sgn, x_max, 0.5 * (last_im + cut_im))
-    if n_inside != total[n_keep - 1]:
-        raise RootCountMismatch(
-            f"winding count {n_inside} != located {total[n_keep - 1]} "
-            f"(V={V}, {'lower' if sgn < 0.0 else 'upper'} half)")
-    return _unfold(kept)
-
-
-def _strip_attempt(V: float, params: ModelParams, sgn: float,
-                   dense: bool) -> np.ndarray:
-    """Every complex root with 0 < sgn Im k < STRIP_HEIGHT, sorted by |Im|
-    then |Re|; RootCountMismatch when the winding count disagrees.
-
-    Newton starts from the rows STRIP_SEED_ROWS (twice as many rows, at
-    half the spacing along them, when dense) and, damped, from the shifted
-    phonons. With k = x + iy, |Vk + i alpha| >= V|x| and |k| >= |x| give
-    |V^2 k^2 + i alpha V k| >= V^2 x^2, while |mu + 2 - 2 cos k| <=
-    mu + 2 + 2 cosh y. So L has no zero with |y| <= STRIP_HEIGHT beyond
-    x_b = sqrt(mu + 2 + 2 cosh STRIP_HEIGHT) / V, and the winding count over
-    [-x_b - 1, x_b + 1] times the strip counts every root in it.
-    """
-    x_b = np.sqrt(params.mu + 2.0 + 2.0 * np.cosh(STRIP_HEIGHT)) / V
-    rows = np.array(STRIP_SEED_ROWS)
-    if dense:
-        rows = np.linspace(rows[0], rows[-1], 2 * rows.size)
-    gx, gy = np.meshgrid(np.arange(0.0, x_b + 0.7, 0.35 if dense else 0.7),
-                         rows)
-    seeds = np.concatenate([(gx + sgn * 1j * gy).ravel(),
+    if n_roots:
+        xs = np.arange(0.0, np.sqrt(params.mu + 4.0) / V + 2.0 * np.pi, step)
+        rows = np.arange(0.05, 9.0, 0.45 if dense else 0.9)
+        predicted = _strip_predictors(V, params, n_roots // 2 + 8, sgn)
+    else:
+        xs = np.arange(0.0, _x_bound(V, params, STRIP_HEIGHT) + 0.7, step)
+        rows = np.array(STRIP_SEED_ROWS)
+        if dense:
+            rows = np.linspace(rows[0], rows[-1], 2 * rows.size)
+        predicted = np.array([])
+    gx, gy = np.meshgrid(xs, rows)
+    seeds = np.concatenate([(gx + sgn * 1j * gy).ravel(), predicted,
                             _phonon_seeds(V, params, sgn)])
     reps = _fold(_newton_complex(seeds, V, params), params, sgn)
-    reps = reps[np.abs(reps.imag) < STRIP_HEIGHT]
+    height = _residue_height(reps, n_roots) if n_roots else STRIP_HEIGHT
+    reps = reps[np.abs(reps.imag) < height]
     located = int(_family_sizes(reps).sum())
-    n_inside = _band_count(V, params, sgn, x_b + 1.0, STRIP_HEIGHT)
-    if n_inside != located:
-        raise RootCountMismatch(
-            f"winding count {n_inside} != located {located} in the strip "
-            f"0 < {'-Im' if sgn < 0.0 else 'Im'} k < {STRIP_HEIGHT} "
-            f"(V={V}, alpha={params.alpha}, "
-            f"{'dense' if dense else 'first'} seeds)")
-    return _unfold(reps)
+    if np.isinf(height):
+        what = f"found only {located} roots, no family above root {n_roots}"
+    else:
+        x_max = _x_bound(V, params, height) + 1.0
+        y_lo = 0.0 if params.alpha > 0.0 else 0.5 * AXIS_OFFSET
+        y0, y1 = (-height, -y_lo) if sgn < 0.0 else (y_lo, height)
+        n_inside = _winding_count(V, params, -x_max, x_max, y0, y1)
+        if n_inside == located:
+            return _unfold(reps)
+        what = f"winding count {n_inside} != located {located}"
+    raise RootCountMismatch(
+        f"{what} in the strip 0 < {'-Im' if sgn < 0.0 else 'Im'} k < "
+        f"{height} (V={V}, alpha={params.alpha}, "
+        f"{'dense' if dense else 'first'} seeds)")
+
+
+def _retry_dense(V: float, params: ModelParams, n_roots: int,
+                 sgn: float) -> tuple[np.ndarray, bool]:
+    """_band_attempt with first seeds, or on RootCountMismatch with dense
+    seeds, whose mismatch propagates; and whether the retry ran."""
+    try:
+        return _band_attempt(V, params, n_roots, sgn, dense=False), False
+    except RootCountMismatch:
+        return _band_attempt(V, params, n_roots, sgn, dense=True), True
 
 
 @dataclass(frozen=True)
@@ -390,8 +380,8 @@ class RootSet:
     dense_retry: bool = False
 
 
-def _complex_roots(attempt, V: float, params: ModelParams, *args) -> RootSet:
-    """The RootSet whose halves are attempt(V, params, *args, sgn, dense).
+def _complex_roots(V: float, params: ModelParams, n_roots: int) -> RootSet:
+    """The RootSet whose halves are _band_attempt(V, params, n_roots, ...).
 
     Damping 0 < alpha < MIN_DAMPING raises ValueError, and an undamped
     resonant V raises ResonantVelocity from real_roots. For alpha = 0 the
@@ -405,27 +395,27 @@ def _complex_roots(attempt, V: float, params: ModelParams, *args) -> RootSet:
             "undamped chain")
     reals = real_roots(V, params) if params.alpha == 0.0 else np.array([])
     ahead = reals * eval_Lk(reals, V, params).real > 0.0
-    upper, retry = _retry_dense(attempt, V, params, *args, 1.0)
+    upper, retry = _retry_dense(V, params, n_roots, 1.0)
     if params.alpha == 0.0:
         lower = np.conj(upper)
     else:
-        lower, retry_lower = _retry_dense(attempt, V, params, *args, -1.0)
+        lower, retry_lower = _retry_dense(V, params, n_roots, -1.0)
         retry |= retry_lower
     return RootSet(upper, lower, reals[ahead], reals[~ahead], retry)
 
 
 @lru_cache(maxsize=256)
-def root_set(V: float, params: ModelParams,
-             n_pairs: int = DEFAULT_N_PAIRS) -> RootSet:
+def root_set(V: float, params: ModelParams) -> RootSet:
     """Memoized real and complex roots at velocity V.
 
-    Each half plane holds n_pairs complex roots, or n_pairs + 1 where the
-    cut would split a mirror pair (k, -conj k). The default DEFAULT_N_PAIRS
-    is the length of the residue series (sigma_AC, convolve). Damping
+    Each half plane holds DEFAULT_N_PAIRS complex roots, the length of the
+    residue series (sigma_AC, convolve), or one more where the cut would
+    split a mirror pair (k, -conj k). A mismatch re-seeds densely once,
+    and a second one raises RootCountMismatch. Damping
     0 < alpha < MIN_DAMPING raises ValueError, and an undamped resonant V
     raises ResonantVelocity from real_roots.
     """
-    return _complex_roots(_half_plane_attempt, V, params, n_pairs)
+    return _complex_roots(V, params, DEFAULT_N_PAIRS)
 
 
 def near_axis_roots(V: float, params: ModelParams) -> RootSet:
@@ -433,13 +423,12 @@ def near_axis_roots(V: float, params: ModelParams) -> RootSet:
 
     upper / lower hold every complex root with |Im k| < STRIP_HEIGHT,
     unfolded and sorted as in root_set, and real_ahead / real_behind are
-    root_set's. Newton starts from a few rows of seeds inside the strip, and
-    a winding count over the part of the strip where roots can lie checks
-    what it found (_strip_attempt). A mismatch re-seeds densely once, and a
-    second one raises RootCountMismatch. Tiny damping and resonant V are
-    refused as in root_set.
+    root_set's. The search is root_set's with the band's height fixed and
+    Newton seeded from a few rows inside it (_band_attempt). A mismatch
+    re-seeds densely once, and a second one raises RootCountMismatch. Tiny
+    damping and resonant V are refused as in root_set.
     """
-    return _complex_roots(_strip_attempt, V, params)
+    return _complex_roots(V, params, 0)
 
 
 # ---------------------------------------------------------------------------

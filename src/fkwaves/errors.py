@@ -41,7 +41,7 @@ class NoAdmissibleWave(FKWavesError):
 
 
 class ProfileRange(FKWavesError):
-    """Requested lattice initialization exceeds the wave evaluator's range."""
+    """The wave does not fit between the chain's frozen ends."""
 
 
 class NumericBlowup(FKWavesError):
@@ -61,7 +61,8 @@ class RegimeMismatch(FKWavesError):
 
 
 class NoSignChange(FKWavesError):
-    """Bisection bracket does not straddle a sign change."""
+    """A scanned function keeps one sign over its whole window (q(0) in
+    threshold_V0), so there is no change to bisect."""
 
 
 class NoPositiveRoot(FKWavesError):

@@ -181,12 +181,12 @@ class TestKernelPlan:
         (0.2, 0.0), (0.2443848, 0.0), (0.1032124, 0.0), (0.3, 0.1),
         (0.1032124, 1e-3), (0.05, 0.1)])
     def test_matches_root_set_plan(self, V, alpha):
-        # the plan from the strip's roots against the plan from the 60
-        # pairs per half plane that kernels were planned from before
+        # the plan from the strip's roots against the plan from the full
+        # residue root set, whose cut lies far above the planned band
         p = ModelParams(1.0, alpha)
         qk = KernelQuadrature(V, p)
         K = KFAC * np.sqrt(p.mu + 4.0) / V
-        roots = root_set(V, p, 60)
+        roots = root_set(V, p)
         for got, want in ((qk._refine, qk._plan_refine(roots, K)),
                           (qk._arcs, qk._plan_arcs(roots, K, alpha > 0.0))):
             assert len(got) == len(want)
@@ -300,8 +300,8 @@ class TestTruncation:
     def test_warns_when_series_too_short(self, params, monkeypatch):
         # the series length is fixed, so a two-pair root set stands in for
         # a series that is too short
-        full = acwave.root_set
-        monkeypatch.setattr(acwave, "root_set", lambda V, p: full(V, p, 2))
+        monkeypatch.setattr(acwave, "root_set", lambda V, p:
+                            dispersion._complex_roots(V, p, 2))
         with pytest.warns(TruncationWarning):
             U_profile(np.array([0.0]), 0.2, params)
 

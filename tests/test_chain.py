@@ -7,6 +7,7 @@ import pytest
 
 from fkwaves import (
     ChainState,
+    Inconclusive,
     ModelParams,
     NoFront,
     NumericBlowup,
@@ -138,3 +139,10 @@ class TestSweep:
     def test_rejects_non_bracketing_endpoints(self, params):
         with pytest.raises(ValueError, match="do not bracket"):
             sweep_dynamic_threshold(params, 0.01, 0.02, N=400, T=150.0)
+
+    def test_inconclusive_run_aborts(self, params):
+        # on 200 sites the sigma = 0.3 front reaches the edge guard before
+        # its velocity can be fitted, so the sweep stops and names the run
+        with pytest.raises(Inconclusive,
+                           match=r"sigma=0\.300000 .*N=200 T=400\.0"):
+            sweep_dynamic_threshold(params, 0.1, 0.3, N=200, T=400.0)

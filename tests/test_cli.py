@@ -28,6 +28,19 @@ class TestThreshold:
         assert data["V0"] == pytest.approx(V0_ALPHA0, abs=1e-12)
         assert data["mu"] == 1.0 and data["alpha"] == 0.0
 
+    def test_dynamic_json(self, tmp_path):
+        out = tmp_path / "sd.json"
+        assert main(["threshold", "--dynamic", "--n", "1000", "--t-final",
+                     "100", "--tol", "0.02", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert set(data) == {"sigma_D", "bracket", "runs", "backend"}
+        lo, hi = data["bracket"]
+        assert lo < data["sigma_D"] < hi and hi - lo <= 0.02
+        # both endpoints, then one run per bisection step
+        assert len(data["runs"]) >= 2
+        assert {c for _, c in data["runs"]} == {"Trapped", "Steady"}
+        assert data["backend"] == BACKEND
+
 
 class TestResonances:
     def test_csv_to_stdout(self, capsys):
@@ -130,6 +143,20 @@ class TestSimulate:
         assert outcome["flags"] == ["EDGE"]
         assert outcome["velocity"] is None
         assert outcome["backend"] == BACKEND
+
+    def test_wave_trio(self, tmp_path):
+        base = tmp_path / "wave"
+        assert main(["simulate", "--ic", "wave", "--velocity", "0.5",
+                     "--n", "300", "--t-final", "20", "--out",
+                     str(base)]) == 0
+        hdr_f, rows_f = read_csv(str(base) + "_front.csv")
+        assert hdr_f == ["t", "nu"] and len(rows_f) == 21
+        hdr_s, rows_s = read_csv(str(base) + "_snapshot.csv")
+        assert hdr_s == ["n", "u", "v"] and len(rows_s) == 301
+        outcome = json.loads((tmp_path / "wave_outcome.json").read_text())
+        assert outcome["backend"] == BACKEND
+        # the wave carries its own stress, sigma_AC(0.5) on this branch
+        assert outcome["sigma"] == kinetic_wave(0.5, ModelParams()).sigma
 
     def test_wave_ic_rejects_sigma(self, tmp_path):
         rc = main(["simulate", "--ic", "wave", "--velocity", "0.5",

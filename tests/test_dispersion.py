@@ -26,6 +26,7 @@ from fkwaves import (
 from fkwaves import dispersion
 from fkwaves.acwave import QUAD_SELF_TOL, quad_kernel
 from fkwaves.dispersion import (
+    DEFAULT_N_PAIRS,
     MIN_DAMPING,
     STRIP_HEIGHT,
     bisect_change,
@@ -105,7 +106,7 @@ class TestRealRoots:
         assert np.all(np.diff(rs) > 0) and np.all(rs > 0)
         assert np.max(np.abs(eval_L(rs, V, p)), initial=0.0) < ROOT_TOL
         # the radiation sides partition the roots by the sign of k L_k
-        roots = root_set(V, p, 20)
+        roots = near_axis_roots(V, p)
         assert np.array_equal(
             np.sort(np.concatenate([roots.real_ahead, roots.real_behind])),
             rs)
@@ -117,19 +118,26 @@ class TestRealRoots:
             assert is_resonant(v_res, p)
 
 
+def _on_roots(ks, V, params):
+    # a Newton step to the root below 1e-12 relative: one ulp of a far
+    # root (|k| ~ 1e3) moves L by about 2e-8
+    step = eval_L(ks, V, params) / eval_Lk(ks, V, params)
+    return bool(np.all(np.abs(step) < 1e-12 * (1.0 + np.abs(ks))))
+
+
 class TestComplexRoots:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_roots_satisfy_dispersion(self, alpha):
         p = ModelParams(1.0, alpha)
-        roots = root_set(0.5, p, 40)
+        roots = root_set(0.5, p)
         ks = np.concatenate([roots.upper, roots.lower])
-        assert len(ks) >= 80        # both half planes
-        assert np.max(np.abs(eval_L(ks, 0.5, p))) < 1e-8
+        assert len(ks) >= 2 * DEFAULT_N_PAIRS        # both half planes
+        assert _on_roots(ks, 0.5, p)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_root_set_partition_is_consistent(self, alpha):
         p = ModelParams(1.0, alpha)
-        rs = root_set(0.5, p, 60)
+        rs = root_set(0.5, p)
         assert np.all(rs.upper.imag > 0)
         assert np.all(rs.lower.imag < 0)
 
@@ -153,17 +161,17 @@ class TestComplexRoots:
 
     @settings(max_examples=40, deadline=None)
     @given(V=st.floats(0.12, 1.0),
-           alpha=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
-           n=st.integers(20, 120))
-    def test_root_set_invariants(self, V, alpha, n):
+           alpha=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
+    def test_root_set_invariants(self, V, alpha):
         p = ModelParams(1.0, alpha)
         assume(all(abs(V - v) > self.RESONANCE_MARGIN
                    for v, _ in resonance_velocities(P1, count=5)))
-        rs = root_set(V, p, n)
+        rs = root_set(V, p)
+        n = DEFAULT_N_PAIRS
         for half in (rs.upper, rs.lower):
             # a cut never splits a mirror pair, so n or n + 1 per half
             assert len(half) in (n, n + 1)
-            assert np.max(np.abs(eval_L(half, V, p))) < 1e-8
+            assert _on_roots(half, V, p)
             # each half is closed under the mirror k -> -conj(k)
             mirror = -np.conj(half)
             dist = np.abs(mirror[:, None] - half[None, :]).min(axis=1)
@@ -177,18 +185,18 @@ class TestComplexRoots:
         # below the floor the damped phonon roots are indistinguishable from
         # the real axis; refuse instead of a misleading RootCountMismatch
         with pytest.raises(ValueError, match="MIN_DAMPING"):
-            root_set(0.3, ModelParams(1.0, 1e-12), 60)
+            root_set(0.3, ModelParams(1.0, 1e-12))
 
     @pytest.mark.parametrize("V", [0.2, 0.3, 0.5])
     def test_min_damping_accepted(self, V):
         p = ModelParams(1.0, MIN_DAMPING)
-        rs = root_set(V, p, 60)
+        rs = root_set(V, p)
         for half in (rs.upper, rs.lower):
-            assert len(half) in (60, 61)
-            assert np.max(np.abs(eval_L(half, V, p))) < 1e-8
+            assert len(half) in (DEFAULT_N_PAIRS, DEFAULT_N_PAIRS + 1)
+            assert _on_roots(half, V, p)
 
-    @pytest.mark.parametrize("n", [60, 400])
-    def test_root_set_beside_resonances(self, n):
+    @pytest.mark.parametrize("search", ["root_set", "near_axis_roots"])
+    def test_root_set_beside_resonances(self, search):
         # two real roots just below the winding contour's bottom edge turn
         # the phase by 2 pi between two of its samples unless the edge is
         # sampled above each real root
@@ -197,13 +205,14 @@ class TestComplexRoots:
                 V = v_res + dv
                 if is_resonant(V, P1):
                     continue
-                rs = root_set(V, P1, n)
+                rs = getattr(dispersion, search)(V, P1)
                 for half in (rs.upper, rs.lower):
-                    assert len(half) in (n, n + 1)
-                    # a Newton step to the root below 1e-12 relative: one
-                    # ulp of a far root (|k| ~ 1e3) moves L by about 2e-8
-                    step = eval_L(half, V, P1) / eval_Lk(half, V, P1)
-                    assert np.all(np.abs(step) < 1e-12 * (1.0 + np.abs(half)))
+                    if search == "root_set":
+                        assert len(half) in (DEFAULT_N_PAIRS,
+                                             DEFAULT_N_PAIRS + 1)
+                    else:
+                        assert np.all(np.abs(half.imag) < STRIP_HEIGHT)
+                    assert _on_roots(half, V, P1)
 
 
 def _near_resonance(mu, n, dv):
@@ -225,10 +234,10 @@ class TestNearAxisRoots:
 
     @pytest.mark.parametrize("mu,alpha,V", CASES)
     def test_matches_root_set(self, mu, alpha, V):
-        # the strip holds exactly the strip roots of a 60-pair root set,
+        # the strip holds exactly the strip roots of the residue root set,
         # whose cut lies above the strip, in the same order
         p = ModelParams(mu, alpha)
-        near, full = near_axis_roots(V, p), root_set(V, p, 60)
+        near, full = near_axis_roots(V, p), root_set(V, p)
         for strip, half in ((near.upper, full.upper),
                             (near.lower, full.lower)):
             assert abs(half[-1].imag) > STRIP_HEIGHT
@@ -255,7 +264,7 @@ class TestNearAxisRoots:
         calls = self._miscount(monkeypatch, 1)
         near = near_axis_roots(0.3, p)
         assert near.dense_retry and len(calls) == 3
-        ref = root_set(0.3, p, 60)
+        ref = root_set(0.3, p)
         assert np.allclose(near.upper, ref.upper[:near.upper.size],
                            rtol=0.0, atol=1e-9)
 

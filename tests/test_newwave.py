@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fkwaves import (
     ModelParams,
     NoAdmissibleWave,
+    NoCandidate,
     NotConverged,
     ResonantVelocity,
     U_integral,
@@ -195,6 +196,29 @@ class TestKinetics:
         rows = kinetic_curve([FIRST_RESONANCE_V], params)
         assert rows[0].flag == "SKIPPED_RESONANT"
         assert np.isnan(rows[0].sigma)
+
+    def test_curve_keeps_classical_placeholders(self, params, monkeypatch):
+        # a velocity without a plateau wave keeps a flagged, inadmissible
+        # classical row, and the sweep goes on to the next velocity
+        build = newwave.kinetic_wave
+        failures = {0.3: NoCandidate("no zero"),
+                    0.4: NoAdmissibleWave("none admissible")}
+
+        def failing(V, *args):
+            if V in failures:
+                raise failures[V]
+            return build(V, *args)
+
+        monkeypatch.setattr(newwave, "kinetic_wave", failing)
+        rows = kinetic_curve([0.3, 0.4, 0.5], params)
+        for row, flag in zip(rows, ("NO_CANDIDATE", "NO_ADMISSIBLE_WAVE")):
+            assert row.flag == flag
+            assert row.sigma == sigma_AC(row.V, params)
+            assert row.z == 0.0 and row.branch == "ac"
+            assert not row.admissible
+        wave = build(0.5, params)
+        assert rows[2].flag == "ok" and rows[2].sigma == wave.sigma
+        assert rows[2].admissible and rows[2].branch == "ac"
 
     def test_rejection_reasons(self, params, z_candidates, monkeypatch):
         monkeypatch.setattr(newwave, "check_generalized", lambda wave: False)
