@@ -47,7 +47,14 @@ from .dispersion import (
 )
 from .errors import QuadratureFail, RootCountMismatch, TruncationWarning
 from .params import ModelParams
-from .quadrature import KFAC, build_panels, tail_integral, tail_terms_needed
+from .quadrature import (
+    GAUSS_ORDER,
+    KFAC,
+    PANEL_WIDTH,
+    build_panels,
+    tail_integral,
+    tail_terms_needed,
+)
 
 # imaginary residue of analytically real sums beyond this means bad roots
 REALNESS_TOL = 1e-9
@@ -371,7 +378,8 @@ class KernelQuadrature:
         """Panel nodes, weights / L(k) at them, the count of leading nodes
         that carry the integrand in real arithmetic (undamped, the on-axis
         nodes, where L is real) and the panels' end K."""
-        grid = build_panels(K, width=1.5 * refine, order=24 + extra_order,
+        grid = build_panels(K, width=PANEL_WIDTH * refine,
+                            order=GAUSS_ORDER + extra_order,
                             refine=self._refine, arcs=self._arcs)
         k = grid.nodes
         n = 0 if self.params.alpha > 0.0 else np.count_nonzero(k.imag == 0.0)

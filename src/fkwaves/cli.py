@@ -73,122 +73,96 @@ def _write_sidecar(path: str, wave: newwave.WaveSolution) -> None:
                         "residual": wave.residual}))
 
 
-def _params(cfg: dict) -> ModelParams:
-    return ModelParams(mu=cfg["mu"], alpha=cfg["alpha"])
+def _velocity_grid(args) -> np.ndarray:
+    if args.velocities:
+        return np.array([float(tok) for tok in args.velocities.split(",")])
+    return np.linspace(args.v_min, args.v_max, args.n_points)
 
 
-def _velocity_grid(cfg: dict) -> np.ndarray:
-    if cfg.get("velocities"):
-        return np.array([float(tok) for tok in cfg["velocities"].split(",")])
-    return np.linspace(cfg["v_min"], cfg["v_max"], cfg["n_points"])
+def _wave(V: float, params: ModelParams, args) -> newwave.WaveSolution:
+    return newwave.kinetic_wave(V, params, m=args.m, kernel=args.kernel)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_kinetic(cfg: dict) -> int:
-    params = _params(cfg)
-    pts = newwave.kinetic_curve(_velocity_grid(cfg), params, m=cfg["m"],
-                                kernel=cfg["kernel"])
+def cmd_kinetic(args, params: ModelParams) -> None:
+    pts = newwave.kinetic_curve(_velocity_grid(args), params, m=args.m,
+                                kernel=args.kernel)
     rows = [(p.V, p.sigma, p.z, p.branch, p.admissible, p.flag) for p in pts]
-    _write(cfg["out"], _csv("V,sigma,z,branch,admissible,flag", rows))
-    return EXIT_OK
+    _write(args.out, _csv("V,sigma,z,branch,admissible,flag", rows))
 
 
-def cmd_wave(cfg: dict) -> int:
-    params = _params(cfg)
-    wave = newwave.kinetic_wave(cfg["velocity"], params, m=cfg["m"],
-                                kernel=cfg["kernel"])
-    xi = np.linspace(cfg["xi_min"], cfg["xi_max"], cfg["n_samples"])
+def cmd_wave(args, params: ModelParams) -> None:
+    wave = _wave(args.velocity, params, args)
+    xi = np.linspace(args.xi_min, args.xi_max, args.n_samples)
     u = wave.evaluate(xi, method="residue")
-    _write(cfg["out"] + ".csv", _csv("xi,u", zip(xi, u)))
-    _write_sidecar(cfg["out"] + ".json", wave)
-    return EXIT_OK
+    _write(args.out + ".csv", _csv("xi,u", zip(xi, u)))
+    _write_sidecar(args.out + ".json", wave)
 
 
-def cmd_shape(cfg: dict) -> int:
-    params = _params(cfg)
-    wave = newwave.kinetic_wave(cfg["velocity"], params, m=cfg["m"],
-                                kernel=cfg["kernel"])
-    _write(cfg["out"] + ".csv",
+def cmd_shape(args, params: ModelParams) -> None:
+    wave = _wave(args.velocity, params, args)
+    _write(args.out + ".csv",
            _csv("s,mass", zip(wave.shape.s, wave.shape.a)))
-    _write_sidecar(cfg["out"] + ".json", wave)
-    return EXIT_OK
+    _write_sidecar(args.out + ".json", wave)
 
 
-def cmd_bifurcation(cfg: dict) -> int:
-    params = _params(cfg)
+def cmd_bifurcation(args, params: ModelParams) -> None:
     rows = []
-    for V in _velocity_grid(cfg):
+    for V in _velocity_grid(args):
         jet = bif.kernel_jet(V, params)
-        z_lin = bif.z_linear(jet)
-        z_qua = bif.z_quartic(jet)
-        if cfg["skip_numeric"]:
-            z_num = np.nan
-        else:
-            z_num = newwave.kinetic_wave(V, params, m=cfg["m"],
-                                         kernel=cfg["kernel"]).z
-        rows.append((V, z_num, z_lin, z_qua, jet.q0, jet.q_plus,
-                     jet.q_minus))
-    _write(cfg["out"],
+        z_num = np.nan if args.skip_numeric else _wave(V, params, args).z
+        rows.append((V, z_num, bif.z_linear(jet), bif.z_quartic(jet),
+                     jet.q0, jet.q_plus, jet.q_minus))
+    _write(args.out,
            _csv("V,z_numeric,z_linear,z_quartic,q0,q_plus,q_minus", rows))
-    return EXIT_OK
 
 
-def cmd_resonances(cfg: dict) -> int:
-    params = _params(cfg)
-    rows = resonance_velocities(params, count=cfg["count"])
-    _write(cfg["out"], _csv("V,k", rows))
-    return EXIT_OK
+def cmd_resonances(args, params: ModelParams) -> None:
+    rows = resonance_velocities(params, count=args.count)
+    _write(args.out, _csv("V,k", rows))
 
 
-def cmd_simulate(cfg: dict) -> int:
-    params = _params(cfg)
-    if cfg["ic"] == "riemann":
-        if cfg["sigma"] is None:
+def cmd_simulate(args, params: ModelParams) -> None:
+    if args.ic == "riemann":
+        if args.sigma is None:
             raise UsageError("--sigma is required for the riemann initial "
                              "condition")
-        state = chain.init_riemann(cfg["n"], params, cfg["sigma"],
-                                   n0=cfg["n0"])
+        state = chain.init_riemann(args.n, params, args.sigma, n0=args.n0)
     else:
-        if cfg["velocity"] is None:
+        if args.velocity is None:
             raise UsageError("--velocity is required for the wave initial "
                              "condition")
-        if cfg["sigma"] is not None:
+        if args.sigma is not None:
             raise UsageError("--sigma conflicts with ic=wave; the wave "
                              "carries its own kinetic stress")
-        wave = newwave.kinetic_wave(cfg["velocity"], params, m=cfg["m"],
-                                    kernel=cfg["kernel"])
-        state = chain.init_from_wave(wave, cfg["n"], n0=cfg["n0"])
-    out = chain.run_and_classify(state, cfg["t_final"], cfg["dt"])
-    base = cfg["out"]
-    _write(base + "_front.csv", _csv("t,nu", zip(out.times, out.fronts)))
-    n_idx = np.arange(state.N + 1)
-    _write(base + "_snapshot.csv",
-           _csv("n,u,v", zip(n_idx, state.u, state.v)))
-    _write(base + "_outcome.json", _json({
+        state = chain.init_from_wave(_wave(args.velocity, params, args),
+                                     args.n, n0=args.n0)
+    out = chain.run_and_classify(state, args.t_final, args.dt)
+    _write(args.out + "_front.csv", _csv("t,nu", zip(out.times, out.fronts)))
+    _write(args.out + "_snapshot.csv",
+           _csv("n,u,v", zip(np.arange(state.N + 1), state.u, state.v)))
+    _write(args.out + "_outcome.json", _json({
         "classification": out.classification,
         "velocity": None if np.isnan(out.velocity) else out.velocity,
         "sigma": out.sigma, "flags": list(out.flags),
         "backend": chain.BACKEND}))
-    return EXIT_OK
 
 
-def cmd_threshold(cfg: dict) -> int:
-    params = _params(cfg)
-    if cfg["dynamic"]:
+def cmd_threshold(args, params: ModelParams) -> None:
+    if args.dynamic:
         res = chain.sweep_dynamic_threshold(
-            params, cfg["sigma_lo"], cfg["sigma_hi"], N=cfg["n"],
-            T=cfg["t_final"], dt=cfg["dt"], tol=cfg["tol"])
+            params, args.sigma_lo, args.sigma_hi, N=args.n, T=args.t_final,
+            dt=args.dt, tol=args.tol)
         payload = {"sigma_D": res.sigma_D, "bracket": list(res.bracket),
                    "runs": [[s, c] for s, c in res.history],
                    "backend": chain.BACKEND}
     else:
-        V0 = bif.threshold_V0(params, tol=cfg["tol_v"])
+        V0 = bif.threshold_V0(params, tol=args.tol_v)
         payload = {"V0": V0, "mu": params.mu, "alpha": params.alpha}
-    _write(cfg["out"], _json(payload))
-    return EXIT_OK
+    _write(args.out, _json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -199,149 +173,131 @@ class UsageError(Exception):
     pass
 
 
-COMMON_DEFAULTS = {"mu": 1.0, "alpha": 0.0, "out": None}
-PIPELINE_DEFAULTS = {"m": newwave.DEFAULT_MESH, "kernel": "quad"}
-
-# defaults per subcommand; these names are also the accepted config keys
-DEFAULTS: dict[str, dict] = {
-    "kinetic": {**COMMON_DEFAULTS, **PIPELINE_DEFAULTS, "velocities": None,
-                "v_min": 0.05, "v_max": 0.6, "n_points": 23},
-    "wave": {**COMMON_DEFAULTS, **PIPELINE_DEFAULTS, "velocity": None,
-             "xi_min": -40.0, "xi_max": 40.0, "n_samples": 1601},
-    "shape": {**COMMON_DEFAULTS, **PIPELINE_DEFAULTS, "velocity": None},
-    "bifurcation": {**COMMON_DEFAULTS, **PIPELINE_DEFAULTS,
-                    "velocities": None, "v_min": 0.335, "v_max": 0.356,
-                    "n_points": 5, "skip_numeric": False},
-    "resonances": {**COMMON_DEFAULTS, "count": 5},
-    "simulate": {**COMMON_DEFAULTS, **PIPELINE_DEFAULTS, "ic": "riemann",
-                 "sigma": None, "velocity": None, "n": 1000, "n0": None,
-                 "t_final": 2000.0, "dt": 0.01},
-    "threshold": {**COMMON_DEFAULTS, "dynamic": False, "tol_v": bif.V0_TOL,
-                  "sigma_lo": 0.1, "sigma_hi": 0.2, "n": 1000,
-                  "t_final": 2000.0, "dt": 0.01, "tol": 2e-3},
-}
-
-HANDLERS = {
-    "kinetic": cmd_kinetic,
-    "wave": cmd_wave,
-    "shape": cmd_shape,
-    "bifurcation": cmd_bifurcation,
-    "resonances": cmd_resonances,
-    "simulate": cmd_simulate,
-    "threshold": cmd_threshold,
-}
-
 # subcommands whose --out names a base path for several files
 OUT_REQUIRED = {"wave", "shape", "simulate"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The fkwaves parser, and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(
         prog="fkwaves",
         description="Traveling waves of the driven bistable chain.")
     sub = ap.add_subparsers(dest="command", required=True)
+    wave_parsers = []
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS)
-        p.add_argument("--mu", type=float, help="coupling strength (> 0)")
-        p.add_argument("--alpha", type=float, help="damping (>= 0)")
+    def add(name: str, handler, help_: str, waves: bool = False):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
+        p.add_argument("--mu", type=float, default=1.0,
+                       help="coupling strength (> 0)")
+        p.add_argument("--alpha", type=float, default=0.0,
+                       help="damping (>= 0)")
         p.add_argument("--config", type=str,
                        help="JSON file with option defaults; flags override")
         p.add_argument("--out", type=str,
                        help="output path (base path for multi-file output); "
                             "stdout when omitted where possible")
+        if waves:
+            wave_parsers.append(p)
         return p
 
-    p = add("kinetic", "sigma(V) along the admissible branch")
-    p.add_argument("--velocities", type=str,
-                   help="comma-separated velocity list (overrides the grid)")
-    p.add_argument("--v-min", dest="v_min", type=float)
-    p.add_argument("--v-max", dest="v_max", type=float)
-    p.add_argument("--n-points", dest="n_points", type=int)
-    _add_pipeline(p)
+    def velocity_grid(p, v_min, v_max, n_points, help_=None) -> None:
+        p.add_argument("--velocities", type=str, help=help_)
+        p.add_argument("--v-min", type=float, default=v_min)
+        p.add_argument("--v-max", type=float, default=v_max)
+        p.add_argument("--n-points", type=int, default=n_points)
 
-    p = add("wave", "profile u(xi) of the admissible wave at one velocity")
+    def chain_run(p, n0: bool = False) -> None:
+        p.add_argument("--n", type=int, default=1000)
+        if n0:
+            p.add_argument("--n0", type=int)
+        p.add_argument("--t-final", type=float, default=2000.0)
+        p.add_argument("--dt", type=float, default=0.01)
+
+    p = add("kinetic", cmd_kinetic, "sigma(V) along the admissible branch",
+            waves=True)
+    velocity_grid(p, 0.05, 0.6, 23,
+                  "comma-separated velocity list (overrides the grid)")
+
+    p = add("wave", cmd_wave,
+            "profile u(xi) of the admissible wave at one velocity",
+            waves=True)
     p.add_argument("--velocity", type=float, required=True)
-    p.add_argument("--xi-min", dest="xi_min", type=float)
-    p.add_argument("--xi-max", dest="xi_max", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    _add_pipeline(p)
+    p.add_argument("--xi-min", type=float, default=-40.0)
+    p.add_argument("--xi-max", type=float, default=40.0)
+    p.add_argument("--n-samples", type=int, default=1601)
 
-    p = add("shape", "plateau shape function at one velocity")
+    p = add("shape", cmd_shape, "plateau shape function at one velocity",
+            waves=True)
     p.add_argument("--velocity", type=float, required=True)
-    _add_pipeline(p)
 
-    p = add("bifurcation", "kernel jet and plateau-width laws near onset")
-    p.add_argument("--velocities", type=str)
-    p.add_argument("--v-min", dest="v_min", type=float)
-    p.add_argument("--v-max", dest="v_max", type=float)
-    p.add_argument("--n-points", dest="n_points", type=int)
-    p.add_argument("--skip-numeric", dest="skip_numeric",
-                   action="store_true",
+    p = add("bifurcation", cmd_bifurcation,
+            "kernel jet and plateau-width laws near onset", waves=True)
+    velocity_grid(p, 0.335, 0.356, 5)
+    p.add_argument("--skip-numeric", action="store_true",
                    help="omit the z_numeric column (much faster)")
-    _add_pipeline(p)
 
-    p = add("resonances", "velocities where a phonon comoves with the front")
-    p.add_argument("--count", type=int, help="keep only the largest few")
+    p = add("resonances", cmd_resonances,
+            "velocities where a phonon comoves with the front")
+    p.add_argument("--count", type=int, default=5,
+                   help="keep only the largest few")
 
-    p = add("simulate", "direct chain run with front classification")
-    p.add_argument("--ic", choices=("riemann", "wave"))
+    p = add("simulate", cmd_simulate,
+            "direct chain run with front classification", waves=True)
+    p.add_argument("--ic", choices=("riemann", "wave"), default="riemann")
     p.add_argument("--sigma", type=float)
     p.add_argument("--velocity", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n0", type=int)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--dt", type=float)
-    _add_pipeline(p)
+    chain_run(p, n0=True)
 
-    p = add("threshold", "bifurcation velocity V0 or dynamic stress")
+    p = add("threshold", cmd_threshold,
+            "bifurcation velocity V0 or dynamic stress")
     p.add_argument("--dynamic", action="store_true",
                    help="bisect the depinning stress by direct simulation")
-    p.add_argument("--tol-v", dest="tol_v", type=float)
-    p.add_argument("--sigma-lo", dest="sigma_lo", type=float)
-    p.add_argument("--sigma-hi", dest="sigma_hi", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--tol", type=float)
-    return ap
+    p.add_argument("--tol-v", type=float, default=bif.V0_TOL)
+    p.add_argument("--sigma-lo", type=float, default=0.1)
+    p.add_argument("--sigma-hi", type=float, default=0.2)
+    chain_run(p)
+    p.add_argument("--tol", type=float, default=2e-3)
+
+    # the plateau-wave flags come last in each help listing
+    for p in wave_parsers:
+        p.add_argument("--m", type=int, default=newwave.DEFAULT_MESH,
+                       help="plateau mesh size")
+        p.add_argument("--kernel", choices=("quad", "residue"),
+                       default="quad", help="kernel evaluation route")
+    return ap, sub.choices
 
 
-def _add_pipeline(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, help="plateau mesh size")
-    p.add_argument("--kernel", choices=("quad", "residue"),
-                   help="kernel evaluation route")
-
-
-def _merge_config(command: str, ns: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[command])
-    given = {k: v for k, v in vars(ns).items() if k != "command"}
-    path = given.pop("config", None)
-    if path is not None:
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {path}: {exc}")
-        if not isinstance(loaded, dict):
-            raise UsageError("config must be a JSON object")
-        unknown = sorted(set(loaded) - set(cfg))
-        if unknown:
-            raise UsageError(
-                f"unknown config keys for {command}: {', '.join(unknown)}")
-        cfg.update(loaded)
-    cfg.update(given)
-    if command in OUT_REQUIRED and cfg["out"] is None:
-        raise UsageError(f"{command} writes multiple files; --out is required")
-    return cfg
+def _read_config(args: argparse.Namespace) -> dict:
+    """The --config file's options; each key must name an option of args."""
+    try:
+        with open(args.config) as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {args.config}: {exc}")
+    if not isinstance(loaded, dict):
+        raise UsageError("config must be a JSON object")
+    options = set(vars(args)) - {"command", "handler", "config"}
+    unknown = sorted(set(loaded) - options)
+    if unknown:
+        raise UsageError(
+            f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    return loaded
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
+    ap, subparsers = _build_parser()
+    args = ap.parse_args(argv)
     try:
-        cfg = _merge_config(ns.command, ns)
-        return HANDLERS[ns.command](cfg)
+        if args.config is not None:
+            # the file replaces defaults only, so flags still win
+            subparsers[args.command].set_defaults(**_read_config(args))
+            args = ap.parse_args(argv)
+        if args.command in OUT_REQUIRED and args.out is None:
+            raise UsageError(f"{args.command} writes multiple files; "
+                             "--out is required")
+        args.handler(args, ModelParams(mu=args.mu, alpha=args.alpha))
+        return EXIT_OK
     except (UsageError, ValueError) as exc:
         # the library raises ValueError for out-of-range arguments
         print(f"error: {exc}", file=sys.stderr)

@@ -231,13 +231,15 @@ def tail_terms_needed(V: float, params: ModelParams, K: float) -> int:
     """Series length so the geometric remainder stays below TAIL_TARGET.
 
     The |w| bound below 0.5 that convergence requires keeps it at 35 or
-    fewer terms.
+    fewer terms. At the kernels' K = KFAC sqrt(mu + 4) / V the bound is
+    1 / KFAC^2 + alpha / (KFAC sqrt(mu + 4)) at every V, so no velocity
+    helps: at mu = 1 every kernel fails once alpha >= 10.96.
     """
     w_bound = (params.mu + 4.0) / (V**2 * K**2) + params.alpha / (V * K)
     if w_bound >= 0.5:
         raise QuadratureFail(
-            f"tail series does not converge fast enough (|w| bound {w_bound:.3f}); "
-            "increase the panel cutoff")
+            f"tail series does not converge fast enough at V={V:g}, "
+            f"alpha={params.alpha:g}: |w| bound {w_bound:.3f} >= 0.5")
     need = int(np.ceil(np.log(TAIL_TARGET) / np.log(w_bound))) + 1
     return max(TAIL_TERMS, need)
 

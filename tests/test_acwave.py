@@ -141,6 +141,14 @@ class TestDualRoute:
         assert U_integral(0.0, 0.5, params) == pytest.approx(0.0, abs=1e-12)
         assert U_integral(0.0, 0.2, params) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("V", [0.15, 0.3, 0.8])
+    def test_damped_branch_average_at_zero(self, V, alpha):
+        # damped, U takes its constant from sigma_AC's residue sum over
+        # DEFAULT_N_PAIRS pairs, so U(0) is that sum's truncation, which
+        # falls like N^-3; the quadrature's own constant does not have it
+        assert abs(U_integral(0.0, V, ModelParams(1.0, alpha))) <= 1e-7
+
     @pytest.mark.parametrize(
         "f", [U_profile, kernel_q, U_integral, q_integral],
         ids=["U_profile", "kernel_q", "U_integral", "q_integral"])

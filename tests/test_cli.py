@@ -2,15 +2,20 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fkwaves import BACKEND, ModelParams, kinetic_wave, resonance_velocities
-from fkwaves.cli import main
+from fkwaves.cli import _build_parser, main
 
 V0_ALPHA0 = 0.3570147628397361
 FIRST_RESONANCE_V = 0.24441475248391872
+README = Path(__file__).resolve().parent.parent / "README.md"
+SUBCOMMANDS = ["kinetic", "wave", "shape", "bifurcation", "resonances",
+               "simulate", "threshold"]
 
 
 def read_csv(path):
@@ -41,6 +46,18 @@ class TestThreshold:
         assert {c for _, c in data["runs"]} == {"Trapped", "Steady"}
         assert data["backend"] == BACKEND
 
+    def test_no_sign_change_exit(self, capsys):
+        # strong damping keeps q(0) on one side over the whole V0 scan
+        assert main(["threshold", "--alpha", "2"]) == 3
+        assert "q(0) does not change sign" in capsys.readouterr().err
+
+    def test_quadrature_fail_exit(self, capsys):
+        # the tail bound's damping part alpha/(V K) does not shrink with V
+        assert main(["threshold", "--alpha", "12"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: QuadratureFail: ")
+        assert "alpha=12" in err
+
 
 class TestResonances:
     def test_csv_to_stdout(self, capsys):
@@ -68,6 +85,15 @@ class TestKinetic:
         # written with %.17g: parses back to the exact double
         assert float(rows[1][1]) == kinetic_wave(0.5, params).sigma
         assert float(rows[0][2]) == 0.0
+
+    def test_velocity_grid(self, capsys):
+        # without --velocities the grid is linspace(v_min, v_max, n_points)
+        assert main(["kinetic", "--v-min", "0.45", "--v-max", "0.55",
+                     "--n-points", "3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(r[0]) for r in rows] == [0.45, 0.5, 0.55]
+        assert [r[3:] for r in rows] == [["ac", "true", "ok"]] * 3
 
 
 class TestWaveFiles:
@@ -163,6 +189,16 @@ class TestSimulate:
                    "--sigma", "0.1", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("args, missing", [
+        ([], "--sigma"),
+        (["--ic", "wave"], "--velocity"),
+    ], ids=["riemann", "wave"])
+    def test_initial_condition_needs_its_flag(self, args, missing, tmp_path,
+                                              capsys):
+        assert main(["simulate", *args, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {missing} is "
+                                                  "required")
+
 
 class TestBifurcation:
     def test_skip_numeric_row(self, tmp_path):
@@ -201,6 +237,18 @@ class TestConfigAndErrors:
         assert main(["bifurcation", "--config", str(cfgf),
                      "--skip-numeric"]) == 2
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config"),
+        ("{not json", "cannot read config"),
+        ("[1, 2]", "config must be a JSON object"),
+    ], ids=["missing", "invalid", "list"])
+    def test_unreadable_config(self, content, message, tmp_path, capsys):
+        cfgf = tmp_path / "cfg.json"
+        if content is not None:
+            cfgf.write_text(content)
+        assert main(["resonances", "--config", str(cfgf)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_missing_out(self):
         assert main(["wave", "--velocity", "0.5"]) == 2
 
@@ -229,3 +277,25 @@ class TestConfigAndErrors:
         rc = main(["wave", "--velocity", str(FIRST_RESONANCE_V),
                    "--out", str(tmp_path / "res")])
         assert rc == 3
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: fkwaves {command}")
+
+    def test_readme_commands_parse(self):
+        # every fkwaves command in the README's Command line block parses,
+        # so a renamed or dropped flag cannot silently break the docs
+        text = README.read_text().split("## Command line", 1)[1]
+        block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines
+                    if line.startswith("fkwaves ")]
+        assert commands
+        parser, _ = _build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).command == argv[0]
