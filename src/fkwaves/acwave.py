@@ -25,6 +25,12 @@ On the quadrature route every plateau computation reads the kernel only at
 small lags, where q and U are analytic between the integers; there convolve
 reads a piecewise-Chebyshev table of each, built once per velocity from the
 quadrature's own values.
+
+A wave is read by one near-field rule, read_wave: the points within
+NEAR_FIELD of its atoms' support take the quadrature route, where the
+residue series converge slowly, and the points beyond take the residues.
+Both the plateau wave's u and u' and the classical sign check read u there,
+and one sign test, admissible_signs, judges every wave.
 """
 
 from __future__ import annotations
@@ -61,14 +67,26 @@ REALNESS_TOL = 1e-9
 # one-sided branch disagreement at xi = 0 beyond this means the residue
 # series of DEFAULT_N_PAIRS root pairs is too short
 TRUNCATION_TOL = 1e-4
+# read_wave takes the points within this distance of the atoms' support
+# by quadrature: at small lags the residue series converge slowly
+NEAR_FIELD = 0.5
 # admissibility sampling: the sign checks of classical and plateau waves
 # read u at these distances beyond the front or the plateau edge
 ADMISSIBLE_RANGE = 40.0
 ADMISSIBLE_SPACING = 0.05
 SIGN_GRID = np.linspace(ADMISSIBLE_SPACING, ADMISSIBLE_RANGE,
                         int(np.ceil(ADMISSIBLE_RANGE / ADMISSIBLE_SPACING)))
-# the admissibility ladder starts this close to the front
+# The classical check adds LADDER, the points ADMISSIBLE_TOL 2^j below the
+# first grid point: just below V0 its violation is a bump of height
+# ~ q(0)^2 squeezed against the front (2.6e-7 at 3e-4 ahead of it at
+# V = 0.3568), which only the ladder sees. A plateau wave gets no ladder:
+# its m-point mesh does not resolve the sign within about 1e-3 of +-z. At
+# mu = 1, V = 0.2192 the m = 100 wave has u(+-z) = +-6.5e-7 (residual
+# 2.6e-6) and keeps the wrong sign out to about 3e-4 past the edge, so a
+# ladder would reject the wave for its mesh error.
 ADMISSIBLE_TOL = 1e-6
+LADDER = ADMISSIBLE_TOL * 2.0 ** np.arange(
+    int(np.ceil(np.log2(ADMISSIBLE_SPACING / ADMISSIBLE_TOL))))
 # quadrature self-check target at construction time
 QUAD_SELF_TOL = 1e-8
 # quadrature points per block of the one kernel integral; bounds its
@@ -78,9 +96,11 @@ ROW_BLOCK = 256
 # Chebyshev piece per unit interval between integers
 TABLE_REACH = 3
 # a piece is done once its trailing coefficients (the root mean square of
-# the last eighth) fall below TABLE_TOL of its largest; its node count
-# doubles from TABLE_MIN_NODES up to TABLE_MAX_NODES. The quadrature's own
-# rounding sets a floor near 1e-14 at 128 nodes, above which it grows
+# the last eighth) fall below TABLE_TOL of its largest, or below the
+# kernel's own rounding floor on that piece (KernelQuadrature.rounding):
+# outer q pieces are small against q(0), so there the floor can lie above
+# TABLE_TOL of the piece. Its node count doubles from TABLE_MIN_NODES up to
+# TABLE_MAX_NODES
 TABLE_TOL = 1e-14
 TABLE_MIN_NODES = 16
 TABLE_MAX_NODES = 128
@@ -225,6 +245,32 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
 # the classical profile and kernel as a measure: one unit mass at 0; every
 # classical wave's shape shares these arrays, so they are read-only views
 UNIT_ATOM = (np.broadcast_to(0.0, 1), np.broadcast_to(1.0, 1))
+
+
+def read_wave(xi, atoms, V: float, params: ModelParams, kind: str = "U",
+              method: str = "residue") -> np.ndarray:
+    """convolve of a wave's atoms by the near-field rule.
+
+    On method "residue" the points within NEAR_FIELD of the atoms' support
+    [-z, z] take the quadrature route (the kernel tables) and the points
+    beyond it the residue route; "quad" takes quadrature throughout.
+    """
+    if method != "residue":
+        return convolve(xi, atoms, V, params, kind, method)
+    xi = np.atleast_1d(np.asarray(xi, float))
+    near = np.abs(xi) <= np.max(np.abs(atoms[0])) + NEAR_FIELD
+    out = np.empty(xi.shape)
+    for route, rows in (("residue", ~near), ("quad", near)):
+        if rows.any():
+            out[rows] = convolve(xi[rows], atoms, V, params, kind, route)
+    return out
+
+
+def admissible_signs(u, x: np.ndarray) -> bool:
+    """The sign test of every wave: u < 0 at the points x ahead of it and
+    u > 0 at -x behind it, where u reads the wave at an array of points."""
+    ahead, behind = np.split(u(np.concatenate([x, -x])), 2)
+    return bool(np.all(ahead < 0.0) and np.all(behind > 0.0))
 
 
 def U_profile(xi, V: float, params: ModelParams):
@@ -420,6 +466,19 @@ class KernelQuadrature:
         return sigma_AC(self.V, self.params) \
             - (2.0 * self.params.mu / np.pi) * self._integral(xi, 1)
 
+    def rounding(self, kind: str, reach: float) -> float:
+        """Rounding floor of q (kind "q") or U (kind "U") on |xi| <= reach.
+
+        eps times the size of each panel term c_j e^{ik_j xi} / k_j^p, with
+        the error eps |k_j xi| of its phase: no table of the kernel's own
+        values gets below it.
+        """
+        k, c, _, _ = self._grid
+        p = ("q", "U").index(kind)
+        size = np.abs(c / k**p) * (1.0 + np.abs(k) * reach)
+        return float(np.finfo(float).eps * (2.0 * self.params.mu / np.pi)
+                     * np.sum(size))
+
     def table(self, kind: str) -> KernelTable:
         """Piecewise-Chebyshev table of q (kind "q") or U (kind "U").
 
@@ -486,22 +545,25 @@ class KernelTable:
 
     def _build(self, lo: int) -> TablePiece:
         """Double the node count until the coefficient tail is below
-        TABLE_TOL; QuadratureFail past TABLE_MAX_NODES."""
+        TABLE_TOL or the kernel's rounding floor; QuadratureFail past
+        TABLE_MAX_NODES."""
         f = getattr(self.kernel, self.kind)
         where = (f"{self.kind} table piece [{lo}, {lo + 1}] at "
                  f"V={self.kernel.V}, alpha={self.kernel.params.alpha}")
+        floor = self.kernel.rounding(self.kind, abs(lo) + 1)
         n = TABLE_MIN_NODES
         while True:
             coef = chebyshev.chebinterpolate(
                 lambda t: f(lo + 0.5 * (t + 1.0)), n - 1)
-            tail = float(np.sqrt(np.mean(coef[-(n // 8):] ** 2))
-                         / np.max(np.abs(coef)))
-            if tail <= TABLE_TOL:
+            top = np.max(np.abs(coef))
+            tail = float(np.sqrt(np.mean(coef[-(n // 8):] ** 2)) / top)
+            if tail <= max(TABLE_TOL, floor / top):
                 break
             if 2 * n > TABLE_MAX_NODES:
                 raise QuadratureFail(
                     f"{where}: Chebyshev tail {tail:.1e} of the largest "
-                    f"coefficient at {n} nodes, above {TABLE_TOL:.0e}")
+                    f"coefficient at {n} nodes, above {TABLE_TOL:.0e} and "
+                    f"the rounding floor {floor / top:.1e}")
             n *= 2
         log.debug("%s: %d nodes, Chebyshev tail %.1e", where, n, tail)
         return TablePiece(interval=(lo, lo + 1), nodes=n, tail=tail,
@@ -531,22 +593,9 @@ def q_integral(xi, V: float, params: ModelParams):
 def ac_admissible(V: float, params: ModelParams) -> bool:
     """Sign check of the classical wave: U > 0 for xi < 0, U < 0 for xi > 0.
 
-    Samples at +-SIGN_GRID, the spacing ADMISSIBLE_SPACING on
-    (0, ADMISSIBLE_RANGE]. Just below the threshold velocity the violation
-    is a bump of height ~ q(0)^2 squeezed against xi = 0, so the uniform
-    grid is augmented with a geometric ladder from ADMISSIBLE_TOL up to the
-    first grid point, evaluated by quadrature (the residue sums are too
-    noisy at that amplitude).
+    Reads U by read_wave at +-LADDER and +-SIGN_GRID, the spacing
+    ADMISSIBLE_SPACING on (0, ADMISSIBLE_RANGE], so the ladder and the
+    grid's first points come from the U table.
     """
-    right = U_profile(SIGN_GRID, V, params)
-    left = U_profile(-SIGN_GRID, V, params)
-    if np.any(right >= 0.0) or np.any(left <= 0.0):
-        return False
-    ladder = []
-    x = ADMISSIBLE_TOL
-    while x < ADMISSIBLE_SPACING:
-        ladder.append(x)
-        x *= 2.0
-    lad = np.array(ladder)
-    u = quad_kernel(V, params).U(np.concatenate([lad, -lad]))
-    return bool(np.all(u[:lad.size] < 0.0) and np.all(u[lad.size:] > 0.0))
+    return admissible_signs(lambda x: read_wave(x, UNIT_ATOM, V, params),
+                            np.concatenate([LADDER, SIGN_GRID]))

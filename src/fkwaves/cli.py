@@ -83,6 +83,15 @@ def _wave(V: float, params: ModelParams, args) -> newwave.WaveSolution:
     return newwave.kinetic_wave(V, params, m=args.m, kernel=args.kernel)
 
 
+def _velocity(args) -> float:
+    """The one velocity of wave, shape and simulate --ic wave, which the
+    flag or the config file sets."""
+    if args.velocity is None:
+        raise UsageError("--velocity is required: give the flag or the "
+                         "config key")
+    return args.velocity
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -95,7 +104,7 @@ def cmd_kinetic(args, params: ModelParams) -> None:
 
 
 def cmd_wave(args, params: ModelParams) -> None:
-    wave = _wave(args.velocity, params, args)
+    wave = _wave(_velocity(args), params, args)
     xi = np.linspace(args.xi_min, args.xi_max, args.n_samples)
     u = wave.evaluate(xi, method="residue")
     _write(args.out + ".csv", _csv("xi,u", zip(xi, u)))
@@ -103,7 +112,7 @@ def cmd_wave(args, params: ModelParams) -> None:
 
 
 def cmd_shape(args, params: ModelParams) -> None:
-    wave = _wave(args.velocity, params, args)
+    wave = _wave(_velocity(args), params, args)
     _write(args.out + ".csv",
            _csv("s,mass", zip(wave.shape.s, wave.shape.a)))
     _write_sidecar(args.out + ".json", wave)
@@ -132,14 +141,12 @@ def cmd_simulate(args, params: ModelParams) -> None:
                              "condition")
         state = chain.init_riemann(args.n, params, args.sigma, n0=args.n0)
     else:
-        if args.velocity is None:
-            raise UsageError("--velocity is required for the wave initial "
-                             "condition")
+        V = _velocity(args)
         if args.sigma is not None:
             raise UsageError("--sigma conflicts with ic=wave; the wave "
                              "carries its own kinetic stress")
-        state = chain.init_from_wave(_wave(args.velocity, params, args),
-                                     args.n, n0=args.n0)
+        state = chain.init_from_wave(_wave(V, params, args), args.n,
+                                     n0=args.n0)
     out = chain.run_and_classify(state, args.t_final, args.dt)
     _write(args.out + "_front.csv", _csv("t,nu", zip(out.times, out.fronts)))
     _write(args.out + "_snapshot.csv",
@@ -222,14 +229,14 @@ def _build_parser():
     p = add("wave", cmd_wave,
             "profile u(xi) of the admissible wave at one velocity",
             waves=True)
-    p.add_argument("--velocity", type=float, required=True)
+    p.add_argument("--velocity", type=float)
     p.add_argument("--xi-min", type=float, default=-40.0)
     p.add_argument("--xi-max", type=float, default=40.0)
     p.add_argument("--n-samples", type=int, default=1601)
 
     p = add("shape", cmd_shape, "plateau shape function at one velocity",
             waves=True)
-    p.add_argument("--velocity", type=float, required=True)
+    p.add_argument("--velocity", type=float)
 
     p = add("bifurcation", cmd_bifurcation,
             "kernel jet and plateau-width laws near onset", waves=True)

@@ -20,7 +20,9 @@ from .acwave import (
     SIGN_GRID,
     UNIT_ATOM,
     ac_admissible,
+    admissible_signs,
     convolve,
+    read_wave,
     sigma_AC,
 )
 from .dispersion import bisect_change
@@ -48,8 +50,6 @@ PLATEAU_SAMPLES = 41
 # singular-value gates for the null direction
 NULLSPACE_REL = 1e-6
 NULLSPACE_GAP = 1e-3
-# residue-route waves evaluate points this close to the plateau by quadrature
-NEAR_PLATEAU = 0.5
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,12 @@ class WaveSolution:
         """u(xi) = sigma - Sigma(V) + integral h(s) U(xi - s) ds.
 
         method "residue" (default: residue sums, with the points within
-        NEAR_PLATEAU of the plateau by quadrature) or "quad" (quadrature
-        throughout, the cross-check route).
+        NEAR_FIELD of the plateau by quadrature, as read_wave does) or
+        "quad" (quadrature throughout, the cross-check route).
         """
-        Sigma = sigma_AC(self.V, self.params)
-        return self.sigma - Sigma + self._convolve(xi, "U", method)
+        u = read_wave(xi, (self.shape.s, self.shape.a), self.V, self.params,
+                      "U", method)
+        return self.sigma - sigma_AC(self.V, self.params) + u
 
     def derivative(self, xi, method: str = "residue") -> np.ndarray:
         """du/dxi; the kernel q is -dU/dxi, so this is -(h * q)(xi).
@@ -123,21 +124,8 @@ class WaveSolution:
         A traveling wave moves sites by du/dt = -V du/dxi, which seeds the
         velocity field of a chain simulation.
         """
-        return -self._convolve(xi, "q", method)
-
-    def _convolve(self, xi, kind: str, method: str) -> np.ndarray:
-        """convolve of the shape; on the residue route the points
-        within NEAR_PLATEAU of [-z, z] take the quadrature route, because
-        there the residue series of the slope converge slowly."""
-        xi = np.atleast_1d(np.asarray(xi, float))
-        quad = np.abs(xi) <= self.z + NEAR_PLATEAU if method == "residue" \
-            else np.zeros(xi.shape, bool)
-        out = np.zeros(xi.shape)
-        for route, rows in ((method, ~quad), ("quad", quad)):
-            if rows.any():
-                out[rows] = convolve(xi[rows], (self.shape.s, self.shape.a),
-                                     self.V, self.params, kind, route)
-        return out
+        return -read_wave(xi, (self.shape.s, self.shape.a), self.V,
+                          self.params, "q", method)
 
 
 def _trapezoid(mesh: np.ndarray) -> np.ndarray:
@@ -252,15 +240,13 @@ def check_generalized(wave: WaveSolution) -> bool:
     """Generalized admissibility: flat plateau and strict signs outside.
 
     True iff the plateau residual is <= PLATEAU_TOL, u < 0 at z + SIGN_GRID
-    and u > 0 at -z - SIGN_GRID, the grid that ac_admissible samples beside
-    the classical front.
+    and u > 0 at -z - SIGN_GRID: the grid and the sign test
+    (admissible_signs) of ac_admissible, without its ladder (see
+    acwave.ADMISSIBLE_TOL).
     """
     if wave.residual > PLATEAU_TOL:
         return False
-    xs = wave.z + SIGN_GRID
-    right = wave.evaluate(xs)
-    left = wave.evaluate(-xs)
-    return bool(np.all(right < 0.0) and np.all(left > 0.0))
+    return admissible_signs(wave.evaluate, wave.z + SIGN_GRID)
 
 
 def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,

@@ -27,12 +27,19 @@ from fkwaves import (
 )
 from fkwaves import acwave, dispersion
 from fkwaves.acwave import (
+    ADMISSIBLE_SPACING,
+    ADMISSIBLE_TOL,
+    LADDER,
     QUAD_SELF_TOL,
+    SIGN_GRID,
+    TABLE_REACH,
     TABLE_TOL,
     UNIT_ATOM,
     KernelQuadrature,
+    admissible_signs,
     convolve,
     quad_kernel,
+    read_wave,
 )
 from fkwaves.dispersion import is_resonant, root_set
 from fkwaves.quadrature import KFAC, tail_terms_needed
@@ -279,6 +286,19 @@ class TestKernelTable:
                            match=r"q table piece \[0, 1\].* at 16 nodes"):
             qk.table("q")(np.array([0.5]))
 
+    @pytest.mark.parametrize("mu, alpha, V", [
+        (4.0, 0.0, 0.05), (4.0, 0.1, 0.05), (4.0, 0.0, 0.4), (4.0, 0.1, 0.4),
+        (0.5, 0.0, 1.2)])
+    def test_every_piece_builds(self, mu, alpha, V):
+        # outer q pieces are small against q(0), and at mu = 4, V = 0.05 so
+        # are the U pieces: their tails stop at the kernel's rounding floor
+        qk = KernelQuadrature(V, ModelParams(mu, alpha))
+        lags = np.arange(-TABLE_REACH, TABLE_REACH) + 0.5
+        for kind in ("q", "U"):
+            err = np.abs(qk.table(kind)(lags) - getattr(qk, kind)(lags))
+            assert len(qk.table(kind).pieces) == 2 * TABLE_REACH
+            assert err.max() <= TABLE_MATCH_TOL, kind
+
     @pytest.mark.parametrize("V,alpha", list(FIND_Z_ZEROS))
     def test_find_z_zeros_unchanged(self, V, alpha):
         assert find_z(V, ModelParams(1.0, alpha)) == FIND_Z_ZEROS[(V, alpha)]
@@ -302,6 +322,21 @@ class TestAdmissibility:
     def test_far_from_threshold(self, params):
         assert not ac_admissible(0.30, params)
         assert ac_admissible(0.50, params)
+
+    def test_ladder_doubles_up_to_the_grid(self):
+        assert np.array_equal(LADDER, ADMISSIBLE_TOL * 2.0 ** np.arange(16))
+        assert LADDER[-1] < ADMISSIBLE_SPACING <= 2.0 * LADDER[-1]
+
+    def test_only_the_ladder_sees_the_bump(self, params):
+        # just below V0 = 0.35701 the violation hugs the front
+        V = 0.3568
+
+        def u(x):
+            return read_wave(x, UNIT_ATOM, V, params)
+
+        assert admissible_signs(u, SIGN_GRID)
+        assert not admissible_signs(u, LADDER)
+        assert not ac_admissible(V, params)
 
 
 class TestTruncation:

@@ -60,6 +60,10 @@ class TestKernelJet:
             # three real root pairs at V = 0.2
             kernel_jet(0.2, params, method="closed")
 
+    def test_unknown_method(self, params):
+        with pytest.raises(ValueError, match="unknown jet method"):
+            kernel_jet(0.5, params, method="spline")
+
     def test_q0_changes_sign_at_threshold(self, params):
         assert kernel_jet(0.34, params).q0 < 0.0
         assert kernel_jet(0.37, params).q0 > 0.0

@@ -22,6 +22,7 @@ from fkwaves import (
     step,
     sweep_dynamic_threshold,
 )
+from fkwaves import chain
 
 # frozen quick-run outcome (N=600, T=150, dt=0.01)
 STEADY_V_S014 = 0.5379144326512725
@@ -114,6 +115,26 @@ class TestClassification:
         out = run_and_classify(init_riemann(600, params, 0.14), T=150.0)
         assert out.classification == "Steady"
         assert out.velocity == pytest.approx(STEADY_V_S014, rel=1e-9)
+
+    def test_edge_without_steady_motion_is_inconclusive(self, params,
+                                                         monkeypatch):
+        # a front parked at the edge guard that steps past it once the fit
+        # time is over has reached the edge without steady trailing motion
+        state = init_riemann(200, params, 0.05)
+        park = state.N - chain.EDGE_GUARD
+
+        def fake_step(st, dt, n_steps=1):
+            st.t += n_steps * dt
+            front = park + (st.t >= chain.MIN_FIT_TIME + 100.0)
+            st.u[:] = np.where(np.arange(st.u.size) <= front, 1.0, -1.0)
+            return st
+
+        monkeypatch.setattr(chain, "step", fake_step)
+        out = run_and_classify(state, T=1000.0)
+        assert out.classification == "Inconclusive"
+        assert out.flags == ("EDGE",) and np.isnan(out.velocity)
+        assert out.fronts[-1] == park + 1
+        assert out.times[-1] - out.times[0] >= chain.MIN_FIT_TIME
 
     def test_wave_seed_spans_check(self, wave_v02):
         from fkwaves import ProfileRange

@@ -225,6 +225,27 @@ class TestConfigAndErrors:
         v_flag = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[0])
         assert v_flag == resonance_velocities(ModelParams(1.0, 0.0), count=1)[0][0]
 
+    def test_config_sets_velocity(self, tmp_path):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"velocity": 0.5}))
+        assert main(["wave", "--config", str(cfgf), "--n-samples", "11",
+                     "--out", str(tmp_path / "w")]) == 0
+        assert json.loads((tmp_path / "w.json").read_text())["V"] == 0.5
+        # the flag still wins over the file
+        assert main(["shape", "--config", str(cfgf), "--velocity", "0.4",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert json.loads((tmp_path / "s.json").read_text())["V"] == 0.4
+
+    @pytest.mark.parametrize("command", ["wave", "shape"])
+    def test_velocity_from_neither_flag_nor_config(self, command, tmp_path,
+                                                   capsys):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"mu": 1.0}))
+        assert main([command, "--config", str(cfgf),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --velocity is required")
+
     def test_unknown_config_key(self, tmp_path):
         cfgf = tmp_path / "bad.json"
         cfgf.write_text(json.dumps({"bogus_key": 1}))

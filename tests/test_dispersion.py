@@ -85,6 +85,10 @@ class TestRealRoots:
         rs = real_roots(V, P1)
         assert len(rs) == _scan_real_root_count(V, P1)
 
+    def test_undamped_only(self):
+        with pytest.raises(ValueError, match="alpha = 0"):
+            real_roots(0.5, ModelParams(1.0, 0.1))
+
     def test_single_pair_above_first_resonance(self):
         assert len(real_roots(0.5, P1)) == 1
 
@@ -283,6 +287,9 @@ class TestNearAxisRoots:
 
 
 class TestResonances:
+    def test_count_zero_is_empty(self):
+        assert resonance_velocities(P1, count=0) == []
+
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 4.0])
     def test_against_scalar_reduction(self, mu):
         # eliminating V from L = dL/dk = 0 leaves

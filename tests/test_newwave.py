@@ -25,7 +25,14 @@ from fkwaves import (
     z_quartic,
 )
 from fkwaves import newwave
-from fkwaves.acwave import U_profile, convolve, kernel_q
+from fkwaves.acwave import (
+    NEAR_FIELD,
+    UNIT_ATOM,
+    U_profile,
+    convolve,
+    kernel_q,
+    read_wave,
+)
 
 # frozen pipeline outputs at default mesh/kernel
 Z_V02 = 0.21245312092439184
@@ -75,6 +82,13 @@ class TestFindZ:
     def test_smallest_zero_is_kinetic_plateau(self, z_candidates):
         assert z_candidates == sorted(z_candidates)
         assert z_candidates[0] == pytest.approx(Z_V02, abs=1e-7)
+
+    def test_no_sign_change_raises(self, params, monkeypatch):
+        # no velocity tried (0.5, 0.8, 1.2) keeps det Q of one sign, so a
+        # positive definite Q stands in for one
+        monkeypatch.setattr(newwave, "build_Q", lambda z, *a: np.eye(3))
+        with pytest.raises(NoCandidate, match="no sign change"):
+            find_z(0.5, params)
 
     def test_resonant_velocity_rejected(self, params):
         with pytest.raises(ResonantVelocity):
@@ -331,6 +345,25 @@ class TestConvolution:
         for f in (U_profile, kernel_q):
             plus, zero, minus = f(np.array([tiny, 0.0, -tiny]), V, p)
             assert zero == pytest.approx(0.5 * (plus + minus), abs=1e-15)
+
+    def test_rejects_unknown_kind_and_method(self, params):
+        with pytest.raises(ValueError, match="unknown convolution kind"):
+            convolve(np.zeros(1), UNIT_ATOM, 0.2, params, kind="u")
+        with pytest.raises(ValueError, match="unknown kernel method"):
+            convolve(np.zeros(1), UNIT_ATOM, 0.2, params, method="fft")
+
+    def test_read_wave_near_field_rule(self, wave_v02):
+        # points within NEAR_FIELD of [-z, z] take the quadrature route,
+        # the points beyond it the residues
+        w = wave_v02
+        atoms = (w.shape.s, w.shape.a)
+        edge = w.z + NEAR_FIELD
+        xi = np.array([-edge - 0.1, -edge, -0.1, 0.0, edge, edge + 0.1, 5.0])
+        near = np.abs(xi) <= edge
+        got = read_wave(xi, atoms, w.V, w.params, "q")
+        for rows, route in ((near, "quad"), (~near, "residue")):
+            assert np.array_equal(got[rows], convolve(
+                xi[rows], atoms, w.V, w.params, "q", route))
 
     def test_rejects_unsorted_atoms(self, params):
         with pytest.raises(ValueError):
