@@ -347,6 +347,8 @@ class KernelQuadrature:
         self.V = V
         self.params = params
         K = KFAC * np.sqrt(params.mu + 4.0) / V
+        # a tail that cannot converge fails before any other work
+        tail_terms = tail_terms_needed(V, params, K)
         roots = near_axis_roots(V, params)
         self._refine = self._plan_refine(roots, K)
         self._arcs = self._plan_arcs(roots, K, params.alpha > 0.0)
@@ -359,12 +361,13 @@ class KernelQuadrature:
         err = (2.0 * params.mu / np.pi) * float(np.max(np.abs(
             self._integral(probe, 0, tail=False) - fine)))
         if err > QUAD_SELF_TOL:
-            raise QuadratureFail(f"panel quadrature self-check failed: "
-                                 f"{err:.2e} > {QUAD_SELF_TOL:.0e}")
+            raise QuadratureFail(
+                f"panel quadrature self-check failed at V={V:g}, "
+                f"alpha={params.alpha:g}: {err:.2e} > {QUAD_SELF_TOL:.0e}")
         prov = self.provenance = PlanProvenance(
             near_axis=(roots.upper.size, roots.lower.size),
-            dense_retry=roots.dense_retry,
-            tail_terms=tail_terms_needed(V, params, K), self_check=err)
+            dense_retry=roots.dense_retry, tail_terms=tail_terms,
+            self_check=err)
         log.debug("kernel at V=%r, alpha=%r: %d + %d near-axis roots%s, "
                   "%d tail terms, self-check %.1e", V, params.alpha,
                   *prov.near_axis, " (dense retry)" if prov.dense_retry

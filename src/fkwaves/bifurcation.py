@@ -144,34 +144,41 @@ def _q0_of_V(V: float, params: ModelParams) -> float:
     return float(quad_kernel(V, params).q(np.zeros(1))[0])
 
 
+def scan_velocities(params: ModelParams) -> np.ndarray:
+    """threshold_V0's V0_SCAN_POINTS velocities, ascending to V0_SCAN_MAX
+    from RESONANCE_MARGIN above the largest resonance for alpha = 0 and
+    from 0.05 otherwise (damping removes the resonances)."""
+    if params.alpha == 0.0:
+        lo = resonance_velocities(params)[0][0] + RESONANCE_MARGIN
+    else:
+        lo = 0.05
+    return np.linspace(lo, V0_SCAN_MAX, V0_SCAN_POINTS)
+
+
 def threshold_V0(params: ModelParams, tol: float = V0_TOL) -> float:
     """Bifurcation velocity: the zero of q(0) along the classical branch.
 
-    Scans velocities up to V0_SCAN_MAX for sign changes of q(0), from
-    RESONANCE_MARGIN above the largest resonance for alpha = 0 and from
-    low V otherwise (damping removes the resonances), and narrows the one
-    at the largest velocity by bisect_change to width tol; the midpoint
-    is returned. Damped chains keep remnant q(0) oscillations near former
-    resonances at low V; those zeros are not the admissibility boundary,
-    which is why the last sign change wins. Raises NoSignChange when q(0)
-    keeps one sign over the whole window, which happens at large damping.
+    Walks scan_velocities down from V0_SCAN_MAX for a sign change of
+    q(0), stops at the first one, the change at the largest velocity, and
+    narrows it by bisect_change to width tol; the midpoint is returned.
+    Damped chains keep remnant q(0) oscillations near former resonances at
+    low V; those zeros are not the admissibility boundary, which is why the
+    top change wins, and the scan never builds a kernel below its bracket.
+    Raises NoSignChange when q(0) keeps one sign over the whole window,
+    which happens at large damping.
     """
-    if params.alpha == 0.0:
-        V1 = resonance_velocities(params)[0][0]
-        lo = V1 + RESONANCE_MARGIN
-    else:
-        lo = 0.05
-    vs = np.linspace(lo, V0_SCAN_MAX, V0_SCAN_POINTS)
-    vals = np.array([_q0_of_V(v, params) for v in vs])
-    flips = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    if len(flips) == 0:
-        raise NoSignChange(
-            f"q(0) does not change sign on [{lo:.4f}, {V0_SCAN_MAX}] "
-            f"(mu={params.mu}, alpha={params.alpha})")
-    i = flips[-1]
-    a, b = bisect_change(lambda v: np.sign(_q0_of_V(v, params)),
-                         vs[i], vs[i + 1], np.sign(vals[i]), tol)
-    return 0.5 * (a + b)
+    vs = scan_velocities(params)
+    above = _q0_of_V(vs[-1], params)
+    for i in range(vs.size - 2, -1, -1):
+        val = _q0_of_V(vs[i], params)
+        if val * above < 0:
+            a, b = bisect_change(lambda v: np.sign(_q0_of_V(v, params)),
+                                 vs[i], vs[i + 1], np.sign(val), tol)
+            return 0.5 * (a + b)
+        above = val
+    raise NoSignChange(
+        f"q(0) does not change sign on [{vs[0]:.4f}, {V0_SCAN_MAX}] "
+        f"(mu={params.mu}, alpha={params.alpha})")
 
 
 def z_linear(jet: KernelJet) -> float:

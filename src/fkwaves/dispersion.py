@@ -17,6 +17,7 @@ through it.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +25,8 @@ import numpy as np
 
 from .errors import ResonantVelocity, RootCountMismatch
 from .params import ModelParams
+
+log = logging.getLogger(__name__)
 
 # Newton targets for complex roots
 COMPLEX_ROOT_TOL = 1e-10
@@ -43,10 +46,11 @@ SPLIT = 64
 # boundary refinement rounds of the winding count
 WINDING_ROUNDS = 40
 # the near-axis strip 0 < |Im k| < STRIP_HEIGHT of near_axis_roots reaches
-# a little past the kernel quadrature's REFINE_BAND = 0.5, and its first
-# Newton seeds lie on rows at these Im k
+# a little past the kernel quadrature's REFINE_BAND = 0.5; its first Newton
+# seeds come from the real axis (_strip_seeds), and only its dense retry
+# seeds on rows at these Im k
 STRIP_HEIGHT = 0.6
-STRIP_SEED_ROWS = (0.05, 0.3, 0.55)
+STRIP_SEED_ROWS = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55)
 # smallest damping the root searches accept: below it the damped phonon roots sit
 # closer to the real axis than the search can tell apart from it
 MIN_DAMPING = 1e-10
@@ -121,19 +125,26 @@ def _real_axis(V: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if V <= 0.0:
         raise ValueError("V must be positive")
-    p = ModelParams(mu, 0.0)
     kmax = np.sqrt(mu + 4.0) / V
-    # for V >= 1, L_kk <= 0 everywhere and any edges will do
-    turn = np.arccos(min(V**2, 1.0))
-    n = 2.0 * np.pi * np.arange(np.ceil(kmax / (2.0 * np.pi)) + 1.0)
-    infl = (n[:, None] + np.array([-turn, turn])).ravel()
-    infl = infl[(infl > 0.0) & (infl < kmax)]
-    crit = _monotone_zeros(lambda k: eval_Lk(k, V, p),
-                           np.concatenate([[0.0], infl, [kmax]]))
+    crit = _critical_points(V, mu, kmax)
+    p = ModelParams(mu, 0.0)
     roots = _monotone_zeros(lambda k: eval_L(k, V, p),
                             np.concatenate([[0.0], crit, [kmax]]))
     crit.flags.writeable = roots.flags.writeable = False
     return crit, roots
+
+
+def _critical_points(V: float, mu: float, reach: float) -> np.ndarray:
+    """Critical points of the undamped L on (0, reach], ascending: one
+    _monotone_zeros pass over the pieces between the zeros of L_kk."""
+    # for V >= 1, L_kk <= 0 everywhere and any edges will do
+    turn = np.arccos(min(V**2, 1.0))
+    n = 2.0 * np.pi * np.arange(np.ceil(reach / (2.0 * np.pi)) + 1.0)
+    infl = (n[:, None] + np.array([-turn, turn])).ravel()
+    infl = infl[(infl > 0.0) & (infl < reach)]
+    p = ModelParams(mu, 0.0)
+    return _monotone_zeros(lambda k: eval_Lk(k, V, p),
+                           np.concatenate([[0.0], infl, [reach]]))
 
 
 def real_roots(V: float, params: ModelParams) -> np.ndarray:
@@ -157,9 +168,10 @@ def real_roots(V: float, params: ModelParams) -> np.ndarray:
 # complex roots
 # ---------------------------------------------------------------------------
 
-def _newton_complex(seeds: np.ndarray, V: float,
-                    params: ModelParams) -> np.ndarray:
-    """Vectorized Newton iteration on L; returns converged points only."""
+def _newton_complex(seeds: np.ndarray, V: float, params: ModelParams,
+                    polish: int = 0) -> np.ndarray:
+    """Vectorized Newton iteration on L; returns converged points only,
+    each after `polish` more Newton steps."""
     k = np.asarray(seeds, dtype=complex).copy()
     step = np.full(k.shape, np.inf)
     # dead iterates carry NaN; silence the resulting invalid-value noise
@@ -178,7 +190,10 @@ def _newton_complex(seeds: np.ndarray, V: float,
         ok = np.isfinite(k)
         ok &= ((step < NEWTON_STEP_TOL * (1.0 + np.abs(k)))
                | (np.abs(eval_L(k, V, params)) <= COMPLEX_ROOT_TOL))
-    return k[ok]
+    k = k[ok]
+    for _ in range(polish):
+        k = k - eval_L(k, V, params) / eval_Lk(k, V, params)
+    return k
 
 
 def _strip_predictors(V: float, params: ModelParams, n_strips: int,
@@ -228,6 +243,33 @@ def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         pts = np.insert(pts, bad + 1, mids)
     raise RootCountMismatch("winding refinement did not settle")
+
+
+def _strip_seeds(V: float, params: ModelParams) -> np.ndarray:
+    """First seeds of the near-axis strip search, for both half planes.
+
+    Near a critical point x_c of the undamped L_0, or at x_c = 0,
+    L(x_c + t) ~ L_0(x_c) + L_0''(x_c) t^2 / 2 - i alpha V (x_c + t), and
+    both roots t of that quadratic are seeds. The critical points reach
+    x_b(STRIP_HEIGHT), not just kmax = sqrt(mu + 4) / V: a maximum of L_0
+    just below zero past kmax has a strip root above it. Damped, each
+    phonon root r moved by its first-order shift i alpha V r / L_k(r) is a
+    seed too.
+    """
+    p0, aV = ModelParams(params.mu, 0.0), params.alpha * V
+    xc = np.concatenate([[0.0], _critical_points(
+        V, params.mu, _x_bound(V, params, STRIP_HEIGHT))])
+    # a t^2 + b t + c = 0, solved without cancellation
+    a, b = np.cos(xc) - V**2, -1j * aV
+    c = eval_L(xc, V, p0) - 1j * aV * xc
+    d = np.sqrt(b * b - 4.0 * a * c + 0j)
+    q = -0.5 * (b + np.where((np.conj(b) * d).real >= 0.0, d, -d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seeds = np.concatenate([xc + q / a, xc + c / q])
+    if aV:
+        r = _real_axis(V, params.mu)[1]
+        seeds = np.append(seeds, r + 1j * aV * r / eval_Lk(r, V, p0))
+    return seeds[np.isfinite(seeds)]
 
 
 def _phonon_seeds(V: float, params: ModelParams, sgn: float) -> np.ndarray:
@@ -304,35 +346,40 @@ def _band_attempt(V: float, params: ModelParams, n_roots: int, sgn: float,
     """Every complex root with 0 < sgn Im k < H, sorted by |Im| then |Re|;
     RootCountMismatch when the search fails.
 
-    n_roots = 0 asks for the near-axis strip, H = STRIP_HEIGHT: Newton
-    starts from the rows STRIP_SEED_ROWS (twice as many rows, at half the
-    spacing along them, when dense). n_roots > 0 asks for a residue set:
-    Newton starts from a grid up to Im k = 9 (twice as fine when dense) and
-    from _strip_predictors, and H is _residue_height, so the band holds
-    n_roots or n_roots + 1 roots. Damped, the shifted phonons seed both.
-    Mirror symmetry L(-conj(k)) = conj(L(k)) pairs each off-axis root with
-    a partner in the same half plane, so the search keeps one
-    representative per family. The winding count over
-    [-x_b(H) - 1, x_b(H) + 1] times the band (_x_bound) counts every root
-    in it and must match the roots located. Undamped, the band's near edge
-    sits at half AXIS_OFFSET, below every complex root that _fold keeps and
-    above the real roots; damped, on the axis.
+    n_roots = 0 asks for the near-axis strip, H = STRIP_HEIGHT. Newton
+    starts from the _strip_seeds in the half plane, a few per velocity,
+    and each converged root takes two more Newton steps, so its last bits
+    do not depend on the seed it came from; dense, from the rows
+    STRIP_SEED_ROWS at spacing 0.35 along them. n_roots > 0 asks for a
+    residue set: Newton starts from a grid up to Im k = 9 (twice as fine
+    when dense) and from _strip_predictors, and H is _residue_height, so
+    the band holds n_roots or n_roots + 1 roots. Damped, the phonons
+    nudged off the axis (_phonon_seeds) seed both grids. Mirror symmetry
+    L(-conj(k)) = conj(L(k)) pairs each off-axis root with a partner in
+    the same half plane, so the search keeps one representative per
+    family. The winding count over [-x_b(H) - 1, x_b(H) + 1] times the
+    band (_x_bound) counts every root in it and must match the roots
+    located. Undamped, the band's near edge sits at half AXIS_OFFSET,
+    below every complex root that _fold keeps and above the real roots;
+    damped, on the axis.
     """
-    step = 0.35 if dense else 0.7
-    if n_roots:
-        xs = np.arange(0.0, np.sqrt(params.mu + 4.0) / V + 2.0 * np.pi, step)
-        rows = np.arange(0.05, 9.0, 0.45 if dense else 0.9)
-        predicted = _strip_predictors(V, params, n_roots // 2 + 8, sgn)
+    if not (n_roots or dense):
+        seeds = _strip_seeds(V, params)
+        seeds = seeds[sgn * seeds.imag > 0.0]
     else:
-        xs = np.arange(0.0, _x_bound(V, params, STRIP_HEIGHT) + 0.7, step)
-        rows = np.array(STRIP_SEED_ROWS)
-        if dense:
-            rows = np.linspace(rows[0], rows[-1], 2 * rows.size)
-        predicted = np.array([])
-    gx, gy = np.meshgrid(xs, rows)
-    seeds = np.concatenate([(gx + sgn * 1j * gy).ravel(), predicted,
-                            _phonon_seeds(V, params, sgn)])
-    reps = _fold(_newton_complex(seeds, V, params), params, sgn)
+        if n_roots:
+            reach = np.sqrt(params.mu + 4.0) / V + 2.0 * np.pi
+            rows = np.arange(0.05, 9.0, 0.45 if dense else 0.9)
+            predicted = _strip_predictors(V, params, n_roots // 2 + 8, sgn)
+        else:
+            reach = _x_bound(V, params, STRIP_HEIGHT) + 0.7
+            rows, predicted = np.array(STRIP_SEED_ROWS), np.array([])
+        gx, gy = np.meshgrid(np.arange(0.0, reach, 0.35 if dense else 0.7),
+                             rows)
+        seeds = np.concatenate([(gx + sgn * 1j * gy).ravel(), predicted,
+                                _phonon_seeds(V, params, sgn)])
+    reps = _fold(_newton_complex(seeds, V, params, 0 if n_roots else 2),
+                 params, sgn)
     height = _residue_height(reps, n_roots) if n_roots else STRIP_HEIGHT
     reps = reps[np.abs(reps.imag) < height]
     located = int(_family_sizes(reps).sum())
@@ -355,10 +402,12 @@ def _band_attempt(V: float, params: ModelParams, n_roots: int, sgn: float,
 def _retry_dense(V: float, params: ModelParams, n_roots: int,
                  sgn: float) -> tuple[np.ndarray, bool]:
     """_band_attempt with first seeds, or on RootCountMismatch with dense
-    seeds, whose mismatch propagates; and whether the retry ran."""
+    seeds, whose mismatch propagates; and whether the retry ran. The first
+    mismatch is logged at DEBUG, so a retry says why it ran."""
     try:
         return _band_attempt(V, params, n_roots, sgn, dense=False), False
-    except RootCountMismatch:
+    except RootCountMismatch as exc:
+        log.debug("dense retry: %s", exc)
         return _band_attempt(V, params, n_roots, sgn, dense=True), True
 
 

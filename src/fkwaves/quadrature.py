@@ -209,19 +209,25 @@ def _inv_L_series(mu: float, alpha: float, V: float,
     Entry C[n + j, p] of the (2n+1) x (2n+1) table, n = n_terms - 1, is the
     coefficient of e^{ijk} / k^p. The generator is
     w = (mu + 2 - 2 cos k)/(V^2 k^2) - i alpha/(V k). Shifts |j| <= n and
-    orders p <= 2n hold every power up to w^n, so rolling the table by one
-    factor of w never wraps a nonzero entry.
+    orders p <= 2n hold every power up to w^n, so multiplying by w adds
+    each of its terms as a shifted slice and never drops a nonzero entry
+    off the table.
     """
     w = {(0, 2): (mu + 2.0) / V**2, (1, 2): -1.0 / V**2,
          (-1, 2): -1.0 / V**2}
     if alpha != 0.0:
         w[(0, 1)] = -1j * alpha / V
     n = n_terms - 1
-    cur = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    size = 2 * n + 1
+    cur = np.zeros((size, size), dtype=complex)
     cur[n, 0] = 1.0
     total = cur.copy()
     for _ in range(n):
-        cur = sum(c * np.roll(cur, jp, axis=(0, 1)) for jp, c in w.items())
+        nxt = np.zeros_like(cur)
+        for (dj, dp), c in w.items():
+            nxt[max(dj, 0):size + min(dj, 0), dp:] += \
+                c * cur[max(-dj, 0):size - max(dj, 0), :size - dp]
+        cur = nxt
         total += cur
     total.setflags(write=False)
     return total

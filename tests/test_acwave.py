@@ -225,6 +225,19 @@ class TestKernelPlan:
         assert f"{prov.near_axis[0]} + {prov.near_axis[1]} near-axis" \
             in built[0]
 
+    def test_tail_bound_fails_first(self):
+        # at alpha = 12 no velocity has a convergent tail, and the kernel
+        # says so before its strip search and self-check run
+        with pytest.raises(QuadratureFail,
+                           match=r"tail series .* V=1\.2, alpha=12: "):
+            KernelQuadrature(1.2, ModelParams(1.0, 12.0))
+
+    def test_self_check_names_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(acwave, "QUAD_SELF_TOL", 0.0)
+        with pytest.raises(QuadratureFail, match=r"self-check failed at "
+                           r"V=0\.3, alpha=0\.1: .* > 0e\+00"):
+            KernelQuadrature(0.3, ModelParams(1.0, 0.1))
+
     def test_cold_threshold_reads_no_root_set(self, monkeypatch):
         # the onset needs only q(0), whose kernels plan from the strip
         calls = []

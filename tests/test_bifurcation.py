@@ -1,10 +1,12 @@
 """Kernel jet, threshold velocity, and the small-plateau expansion."""
 
+import numpy as np
 import pytest
 
 from fkwaves import (
     ModelParams,
     NoPositiveRoot,
+    NoSignChange,
     RegimeMismatch,
     kernel_jet,
     shape_linear,
@@ -13,7 +15,9 @@ from fkwaves import (
     z_linear,
     z_quartic,
 )
-from fkwaves.bifurcation import KernelJet
+from fkwaves import bifurcation
+from fkwaves.acwave import quad_kernel
+from fkwaves.bifurcation import V0_SCAN_POINTS, KernelJet, scan_velocities
 
 V0_ALPHA0 = 0.3570147628397361
 V0_ALPHA01 = 0.3561111708818856
@@ -86,6 +90,44 @@ class TestThreshold:
     def test_branch_width_vanishes_at_threshold(self, params):
         jet = kernel_jet(V0_ALPHA0, params)
         assert abs(z_linear(jet)) < 1e-4
+
+
+class TestScanOrder:
+    def _fake_q0(self, monkeypatch, q0):
+        # q0(V) stands in for the kernel's q(0); returns the velocities asked
+        calls = []
+        monkeypatch.setattr(bifurcation, "_q0_of_V",
+                            lambda V, p: calls.append(V) or q0(V))
+        return calls
+
+    def test_top_change_wins_and_nothing_below_is_built(self, monkeypatch):
+        # three sign changes; the scan walks down and stops at the top one
+        calls = self._fake_q0(monkeypatch, lambda V: (V - 0.3) * (V - 0.6)
+                              * (V - 0.9123))
+        V0 = threshold_V0(ModelParams(1.0, 0.1))
+        assert V0 == pytest.approx(0.9123, abs=1e-5)
+        vs = scan_velocities(ModelParams(1.0, 0.1))
+        below = vs[vs < 0.9123][-1]
+        assert min(calls) == below
+        assert len([V for V in calls if V in vs]) == np.count_nonzero(
+            vs >= below)
+
+    def test_one_sign_scans_everything(self, monkeypatch):
+        calls = self._fake_q0(monkeypatch, lambda V: 1.0 + V)
+        with pytest.raises(NoSignChange, match=r"\(mu=1\.0, alpha=0\.1\)"):
+            threshold_V0(ModelParams(1.0, 0.1))
+        assert len(calls) == V0_SCAN_POINTS
+        assert np.array_equal(calls, scan_velocities(ModelParams(1.0, 0.1))
+                              [::-1])
+
+    @pytest.mark.parametrize("alpha,V0,kernels", [
+        (0.0, V0_ALPHA0, 65), (0.1, V0_ALPHA01, 56)])
+    def test_kernels_built(self, alpha, V0, kernels):
+        # 11 bisection kernels, and the scan points from the top down to
+        # the bracket: the slow damped kernels below it are never built
+        quad_kernel.cache_clear()
+        assert threshold_V0(ModelParams(1.0, alpha)) == V0
+        assert quad_kernel.cache_info().misses == kernels
 
 
 class TestExpansion:

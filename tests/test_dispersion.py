@@ -5,6 +5,8 @@ derivative, dense sign-change scans for real roots, and the one-dimensional
 reduction of the resonance system solved directly with brentq.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +27,7 @@ from fkwaves import (
 )
 from fkwaves import dispersion
 from fkwaves.acwave import QUAD_SELF_TOL, quad_kernel
+from fkwaves.bifurcation import scan_velocities
 from fkwaves.dispersion import (
     DEFAULT_N_PAIRS,
     MIN_DAMPING,
@@ -272,6 +275,16 @@ class TestNearAxisRoots:
         assert np.allclose(near.upper, ref.upper[:near.upper.size],
                            rtol=0.0, atol=1e-9)
 
+    def test_dense_retry_says_why(self, monkeypatch, caplog):
+        self._miscount(monkeypatch, 1)
+        with caplog.at_level(logging.DEBUG, logger="fkwaves.dispersion"):
+            assert near_axis_roots(0.3, ModelParams(1.0, 0.1)).dense_retry
+        why = [r.getMessage() for r in caplog.records
+               if r.name == "fkwaves.dispersion"]
+        assert len(why) == 1
+        assert why[0].startswith("dense retry: winding count ")
+        assert "(V=0.3, alpha=0.1, first seeds)" in why[0]
+
     def test_count_mismatch_raises(self, monkeypatch):
         calls = self._miscount(monkeypatch, 2)
         with pytest.raises(RootCountMismatch,
@@ -284,6 +297,37 @@ class TestNearAxisRoots:
             near_axis_roots(0.3, ModelParams(1.0, 1e-12))
         with pytest.raises(ResonantVelocity):
             near_axis_roots(_near_resonance(1.0, 1, 0.0), P1)
+
+
+class TestStripSeeds:
+    # the first seeds alone find the strip: at threshold_V0's scan
+    # velocities for both dampings, where a strip root lies past
+    # kmax = sqrt(mu + 4) / V, and just outside the close resonance pair
+    # at mu = 1 (resonances 5 and 6, 7.3e-6 apart)
+    CASES = [(1.0, alpha, float(V)) for alpha in (0.0, 0.1)
+             for V in scan_velocities(ModelParams(1.0, alpha))] + [
+        (0.5, 0.0, 0.1), (0.5, 0.1, 0.1), (1.0, 0.1, 0.14746),
+        (1.0, 0.0, _near_resonance(1.0, 6, -1.2e-5)),
+        (1.0, 0.0, _near_resonance(1.0, 5, 1.2e-5))]
+
+    @pytest.mark.parametrize("mu,alpha,V", CASES)
+    def test_same_roots_as_root_set(self, mu, alpha, V):
+        p = ModelParams(mu, alpha)
+        near, full = near_axis_roots(V, p), root_set(V, p)
+        assert not near.dense_retry
+        for strip, half in ((near.upper, full.upper),
+                            (near.lower, full.lower)):
+            ref = half[np.abs(half.imag) < STRIP_HEIGHT]
+            assert strip.shape == ref.shape
+            assert np.max(np.abs(strip - ref), initial=0.0) < 1e-13
+
+    @pytest.mark.parametrize("mu,alpha,V,root", [
+        (0.5, 0.0, 0.1, 21.78 + 0.53j), (1.0, 0.1, 0.14746, 15.587 - 0.542j)])
+    def test_reaches_past_kmax(self, mu, alpha, V, root):
+        near = near_axis_roots(V, ModelParams(mu, alpha))
+        assert root.real > np.sqrt(mu + 4.0) / V
+        half = near.upper if root.imag > 0.0 else near.lower
+        assert np.min(np.abs(half - root)) < 5e-3
 
 
 class TestResonances:

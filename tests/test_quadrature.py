@@ -15,6 +15,7 @@ from fkwaves.dispersion import eval_L
 from fkwaves.quadrature import (
     KFAC,
     TAIL_TARGET,
+    _inv_L_series,
     build_panels,
     exp_tail_integrals,
     tail_integral,
@@ -165,6 +166,23 @@ class TestDispersionTail:
             total += half * np.sum(w * fv * np.exp(1j * xi * kk))
         total += -np.exp(1j * xi * edges[-1]) * f(edges[-1]) / (1j * xi)
         assert_allclose(got, total, atol=TAIL_TOL)
+
+
+class TestInverseSeries:
+    @pytest.mark.parametrize("mu,alpha,V,n_terms", [
+        (1.0, 0.0, 0.2, 5), (1.0, 0.1, 0.35, 8), (4.0, 0.5, 0.05, 12),
+        (0.5, 0.1, 1.2, 20)])
+    def test_table_sums_the_powers_of_w(self, mu, alpha, V, n_terms):
+        # sum C[n + j, p] e^{ijk} / k^p = sum_{m <= n} w(k)^m
+        C = _inv_L_series(mu, alpha, V, n_terms)
+        n = n_terms - 1
+        j, p = np.arange(-n, n + 1)[:, None], np.arange(2 * n + 1)[None, :]
+        for k in (3.7, 11.2, 40.0):
+            w = (mu + 2.0 - 2.0 * np.cos(k)) / (V * k) ** 2 \
+                - 1j * alpha / (V * k)
+            want = np.sum(w ** np.arange(n + 1))
+            got = np.sum(C * np.exp(1j * j * k) / k**p)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestTailSeriesLength:
