@@ -126,7 +126,7 @@ def _real_axis(V: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
     if V <= 0.0:
         raise ValueError("V must be positive")
     kmax = np.sqrt(mu + 4.0) / V
-    crit = _critical_points(V, mu, kmax)
+    crit = _critical_points(V, mu, 0.0, kmax)
     p = ModelParams(mu, 0.0)
     roots = _monotone_zeros(lambda k: eval_L(k, V, p),
                             np.concatenate([[0.0], crit, [kmax]]))
@@ -134,17 +134,18 @@ def _real_axis(V: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return crit, roots
 
 
-def _critical_points(V: float, mu: float, reach: float) -> np.ndarray:
-    """Critical points of the undamped L on (0, reach], ascending: one
+def _critical_points(V: float, mu: float, lo: float,
+                     hi: float) -> np.ndarray:
+    """Critical points of the undamped L on (lo, hi), ascending: one
     _monotone_zeros pass over the pieces between the zeros of L_kk."""
     # for V >= 1, L_kk <= 0 everywhere and any edges will do
     turn = np.arccos(min(V**2, 1.0))
-    n = 2.0 * np.pi * np.arange(np.ceil(reach / (2.0 * np.pi)) + 1.0)
+    n = 2.0 * np.pi * np.arange(np.ceil(hi / (2.0 * np.pi)) + 1.0)
     infl = (n[:, None] + np.array([-turn, turn])).ravel()
-    infl = infl[(infl > 0.0) & (infl < reach)]
+    infl = infl[(infl > lo) & (infl < hi)]
     p = ModelParams(mu, 0.0)
     return _monotone_zeros(lambda k: eval_Lk(k, V, p),
-                           np.concatenate([[0.0], infl, [reach]]))
+                           np.concatenate([[lo], infl, [hi]]))
 
 
 def real_roots(V: float, params: ModelParams) -> np.ndarray:
@@ -257,8 +258,10 @@ def _strip_seeds(V: float, params: ModelParams) -> np.ndarray:
     seed too.
     """
     p0, aV = ModelParams(params.mu, 0.0), params.alpha * V
-    xc = np.concatenate([[0.0], _critical_points(
-        V, params.mu, _x_bound(V, params, STRIP_HEIGHT))])
+    crit, r = _real_axis(V, params.mu)
+    xc = np.concatenate([[0.0], crit, _critical_points(
+        V, params.mu, np.sqrt(params.mu + 4.0) / V,
+        _x_bound(V, params, STRIP_HEIGHT))])
     # a t^2 + b t + c = 0, solved without cancellation
     a, b = np.cos(xc) - V**2, -1j * aV
     c = eval_L(xc, V, p0) - 1j * aV * xc
@@ -267,7 +270,6 @@ def _strip_seeds(V: float, params: ModelParams) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         seeds = np.concatenate([xc + q / a, xc + c / q])
     if aV:
-        r = _real_axis(V, params.mu)[1]
         seeds = np.append(seeds, r + 1j * aV * r / eval_Lk(r, V, p0))
     return seeds[np.isfinite(seeds)]
 
