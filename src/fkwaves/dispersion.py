@@ -253,9 +253,10 @@ def _strip_seeds(V: float, params: ModelParams) -> np.ndarray:
     L(x_c + t) ~ L_0(x_c) + L_0''(x_c) t^2 / 2 - i alpha V (x_c + t), and
     both roots t of that quadratic are seeds. The critical points reach
     x_b(STRIP_HEIGHT), not just kmax = sqrt(mu + 4) / V: a maximum of L_0
-    just below zero past kmax has a strip root above it. Damped, each
-    phonon root r moved by its first-order shift i alpha V r / L_k(r) is a
-    seed too.
+    just below zero past kmax has a strip root above it. Those below kmax
+    are _real_axis's, so only the few beyond are bracketed here. Damped,
+    each phonon root r moved by its first-order shift
+    i alpha V r / L_k(r) is a seed too.
     """
     p0, aV = ModelParams(params.mu, 0.0), params.alpha * V
     crit, r = _real_axis(V, params.mu)
