@@ -84,7 +84,7 @@ def _jet_identity(V: float, params: ModelParams) -> KernelJet:
     mu, alpha = params.mu, params.alpha
     qk = quad_kernel(V, params)
     sigma = sigma_AC(V, params)
-    q0 = float(qk.q(np.zeros(1))[0])
+    q0 = _q0_of_V(V, params)
     U1, Um1 = qk.U(np.array([1.0, -1.0]))
     q_plus = (alpha * V * q0 - (U1 + Um1) - mu * (sigma - 1.0)) / V**2
     q_minus = q_plus - 2.0 * mu / V**2
@@ -101,13 +101,12 @@ def _jet_closed(V: float, params: ModelParams) -> KernelJet:
         raise RegimeMismatch("closed form requires alpha = 0")
     mu = params.mu
     roots = real_roots(V, params)
-    pos = sorted(r for r in roots if r > 0)
-    if len(pos) != 1:
+    if roots.size != 1:
         raise RegimeMismatch(
-            f"closed form needs a single real root pair, found {len(pos)}; "
+            f"closed form needs a single real root pair, found {roots.size}; "
             "V is below the first resonance")
-    r = pos[0]
-    lk = float(eval_Lk(np.array([r + 0j]), V, params).real[0])
+    r = roots[0]
+    lk = eval_Lk(r, V, params)
     base = _jet_identity(V, params)
     s = 4.0 * mu * np.cos(r) / (r * lk)
     sig = sigma_AC(V, params)
@@ -124,7 +123,7 @@ def _jet_fd(V: float, params: ModelParams) -> KernelJet:
     quadratic fit coefficients estimate q'(0+-) and q2.
     """
     qk = quad_kernel(V, params)
-    q0 = float(qk.q(np.zeros(1))[0])
+    q0 = _q0_of_V(V, params)
 
     def one_sided(sign: float) -> tuple[float, float]:
         h = FD_STEP

@@ -46,9 +46,9 @@ SPLIT = 64
 # boundary refinement rounds of the winding count
 WINDING_ROUNDS = 40
 # the near-axis strip 0 < |Im k| < STRIP_HEIGHT of near_axis_roots reaches
-# a little past the kernel quadrature's REFINE_BAND = 0.5; its first Newton
-# seeds come from the real axis (_strip_seeds), and only its dense retry
-# seeds on rows at these Im k
+# a little past the kernel quadrature's REFINE_BAND = 0.5; the first Newton
+# seeds of both root searches come from the axes (_band_attempt), and only
+# the strip's dense retry adds a grid on rows at these Im k
 STRIP_HEIGHT = 0.6
 STRIP_SEED_ROWS = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55)
 # smallest damping the root searches accept: below it the damped phonon roots sit
@@ -169,10 +169,10 @@ def real_roots(V: float, params: ModelParams) -> np.ndarray:
 # complex roots
 # ---------------------------------------------------------------------------
 
-def _newton_complex(seeds: np.ndarray, V: float, params: ModelParams,
-                    polish: int = 0) -> np.ndarray:
+def _newton_complex(seeds: np.ndarray, V: float,
+                    params: ModelParams) -> np.ndarray:
     """Vectorized Newton iteration on L; returns converged points only,
-    each after `polish` more Newton steps."""
+    each polished by two more steps to within rounding of a fixed point."""
     k = np.asarray(seeds, dtype=complex).copy()
     step = np.full(k.shape, np.inf)
     # dead iterates carry NaN; silence the resulting invalid-value noise
@@ -192,7 +192,7 @@ def _newton_complex(seeds: np.ndarray, V: float, params: ModelParams,
         ok &= ((step < NEWTON_STEP_TOL * (1.0 + np.abs(k)))
                | (np.abs(eval_L(k, V, params)) <= COMPLEX_ROOT_TOL))
     k = k[ok]
-    for _ in range(polish):
+    for _ in range(2):
         k = k - eval_L(k, V, params) / eval_Lk(k, V, params)
     return k
 
@@ -247,7 +247,8 @@ def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
 
 
 def _strip_seeds(V: float, params: ModelParams) -> np.ndarray:
-    """First seeds of the near-axis strip search, for both half planes.
+    """Seeds from the real axis, for both half planes: the first seeds of
+    the near-axis strip search and part of those of a residue set.
 
     Near a critical point x_c of the undamped L_0, or at x_c = 0,
     L(x_c + t) ~ L_0(x_c) + L_0''(x_c) t^2 / 2 - i alpha V (x_c + t), and
@@ -273,15 +274,6 @@ def _strip_seeds(V: float, params: ModelParams) -> np.ndarray:
     if aV:
         seeds = np.append(seeds, r + 1j * aV * r / eval_Lk(r, V, p0))
     return seeds[np.isfinite(seeds)]
-
-
-def _phonon_seeds(V: float, params: ModelParams, sgn: float) -> np.ndarray:
-    """Damped seeds: the alpha = 0 phonon roots, which damping shifts
-    slightly off the axis, moved 1e-3 into the half plane; none undamped."""
-    if params.alpha == 0.0:
-        return np.array([])
-    undamped = _real_axis(V, params.mu)[1]
-    return np.concatenate([undamped, -undamped]) + sgn * 1e-3j
 
 
 def _fold(ks: np.ndarray, params: ModelParams, sgn: float) -> np.ndarray:
@@ -349,39 +341,39 @@ def _band_attempt(V: float, params: ModelParams, n_roots: int, sgn: float,
     """Every complex root with 0 < sgn Im k < H, sorted by |Im| then |Re|;
     RootCountMismatch when the search fails.
 
-    n_roots = 0 asks for the near-axis strip, H = STRIP_HEIGHT. Newton
-    starts from the _strip_seeds in the half plane, a few per velocity,
-    and each converged root takes two more Newton steps, so its last bits
-    do not depend on the seed it came from; dense, from the rows
-    STRIP_SEED_ROWS at spacing 0.35 along them. n_roots > 0 asks for a
-    residue set: Newton starts from a grid up to Im k = 9 (twice as fine
-    when dense) and from _strip_predictors, and H is _residue_height, so
-    the band holds n_roots or n_roots + 1 roots. Damped, the phonons
-    nudged off the axis (_phonon_seeds) seed both grids. Mirror symmetry
-    L(-conj(k)) = conj(L(k)) pairs each off-axis root with a partner in
-    the same half plane, so the search keeps one representative per
-    family. The winding count over [-x_b(H) - 1, x_b(H) + 1] times the
-    band (_x_bound) counts every root in it and must match the roots
-    located. Undamped, the band's near edge sits at half AXIS_OFFSET,
-    below every complex root that _fold keeps and above the real roots;
-    damped, on the axis.
+    Newton starts from the _strip_seeds in the half plane, a few per
+    velocity. n_roots = 0 asks for the near-axis strip, H = STRIP_HEIGHT.
+    n_roots > 0 asks for a residue set, and H is _residue_height, so the
+    band holds n_roots or n_roots + 1 roots; its seeds add the imaginary
+    axis at |Im k| = 1, 2, 4, 8, where L(sgn i y) = mu + V^2 y^2 +
+    sgn alpha V y - 4 sinh^2(y/2) is real and Newton stays on the axis
+    (for V >= 1 the x_c = 0 model of _strip_seeds yields no root there),
+    and the _strip_predictors of the roots further out. The dense retry
+    adds a grid at spacing 0.35 on the rows STRIP_SEED_ROWS, or for a
+    residue set on rows 0.05 to 9 at spacing 0.45. Every converged root is
+    polished (_newton_complex). Mirror symmetry L(-conj(k)) = conj(L(k))
+    pairs each off-axis root with a partner in the same half plane, so the
+    search keeps one representative per family. The winding count over
+    [-x_b(H) - 1, x_b(H) + 1] times the band (_x_bound) counts every root
+    in it and must match the roots located. Undamped, the band's near edge
+    sits at half AXIS_OFFSET, below every complex root that _fold keeps
+    and above the real roots; damped, on the axis.
     """
-    if not (n_roots or dense):
-        seeds = _strip_seeds(V, params)
-        seeds = seeds[sgn * seeds.imag > 0.0]
-    else:
+    seeds = [_strip_seeds(V, params)]
+    if n_roots:
+        seeds += [sgn * 1j * np.array([1.0, 2.0, 4.0, 8.0]),
+                  _strip_predictors(V, params, n_roots // 2 + 8, sgn)]
+    if dense:
         if n_roots:
             reach = np.sqrt(params.mu + 4.0) / V + 2.0 * np.pi
-            rows = np.arange(0.05, 9.0, 0.45 if dense else 0.9)
-            predicted = _strip_predictors(V, params, n_roots // 2 + 8, sgn)
+            rows = np.arange(0.05, 9.0, 0.45)
         else:
             reach = _x_bound(V, params, STRIP_HEIGHT) + 0.7
-            rows, predicted = np.array(STRIP_SEED_ROWS), np.array([])
-        gx, gy = np.meshgrid(np.arange(0.0, reach, 0.35 if dense else 0.7),
-                             rows)
-        seeds = np.concatenate([(gx + sgn * 1j * gy).ravel(), predicted,
-                                _phonon_seeds(V, params, sgn)])
-    reps = _fold(_newton_complex(seeds, V, params, 0 if n_roots else 2),
+            rows = STRIP_SEED_ROWS
+        gx, gy = np.meshgrid(np.arange(0.0, reach, 0.35), rows)
+        seeds.append((gx + sgn * 1j * gy).ravel())
+    seeds = np.concatenate(seeds)
+    reps = _fold(_newton_complex(seeds[sgn * seeds.imag > 0.0], V, params),
                  params, sgn)
     height = _residue_height(reps, n_roots) if n_roots else STRIP_HEIGHT
     reps = reps[np.abs(reps.imag) < height]
@@ -462,10 +454,11 @@ def root_set(V: float, params: ModelParams) -> RootSet:
 
     Each half plane holds DEFAULT_N_PAIRS complex roots, the length of the
     residue series (sigma_AC, convolve), or one more where the cut would
-    split a mirror pair (k, -conj k). A mismatch re-seeds densely once,
-    and a second one raises RootCountMismatch. Damping
-    0 < alpha < MIN_DAMPING raises ValueError, and an undamped resonant V
-    raises ResonantVelocity from real_roots.
+    split a mirror pair (k, -conj k). Its seeds are the strip's, the
+    imaginary axis and the asymptotic predictors (_band_attempt). A
+    mismatch re-seeds densely once, and a second one raises
+    RootCountMismatch. Damping 0 < alpha < MIN_DAMPING raises ValueError,
+    and an undamped resonant V raises ResonantVelocity from real_roots.
     """
     return _complex_roots(V, params, DEFAULT_N_PAIRS)
 
@@ -476,7 +469,7 @@ def near_axis_roots(V: float, params: ModelParams) -> RootSet:
     upper / lower hold every complex root with |Im k| < STRIP_HEIGHT,
     unfolded and sorted as in root_set, and real_ahead / real_behind are
     root_set's. The search is root_set's with the band's height fixed and
-    Newton seeded from a few rows inside it (_band_attempt). A mismatch
+    Newton seeded from the real axis alone (_band_attempt). A mismatch
     re-seeds densely once, and a second one raises RootCountMismatch. Tiny
     damping and resonant V are refused as in root_set.
     """

@@ -141,6 +141,18 @@ class TestComplexRoots:
         assert len(ks) >= 2 * DEFAULT_N_PAIRS        # both half planes
         assert _on_roots(ks, 0.5, p)
 
+    def test_roots_are_newton_fixed_points(self):
+        # a seed's Newton run may stop at |L| <= COMPLEX_ROOT_TOL short of
+        # the root; every root is polished, so five more steps move none
+        # beyond rounding (here -3.3107 - 0.0548i moved by 8.6e-14 unpolished)
+        V, p = float(np.linspace(0.05, 1.2, 107)[74]), ModelParams(4.0, 0.1)
+        rs = root_set(V, p)
+        for half in (rs.upper, rs.lower):
+            k = half.copy()
+            for _ in range(5):
+                k = k - eval_L(k, V, p) / eval_Lk(k, V, p)
+            assert np.all(np.abs(k - half) <= 1e-15 * (1.0 + np.abs(half)))
+
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_root_set_partition_is_consistent(self, alpha):
         p = ModelParams(1.0, alpha)
@@ -226,6 +238,18 @@ def _near_resonance(mu, n, dv):
     return resonance_velocities(ModelParams(mu, 0.0), count=n)[n - 1][0] + dv
 
 
+def _miscount(monkeypatch, wrong_calls):
+    # the winding count is off by one on the first wrong_calls calls
+    count, calls = dispersion._winding_count, []
+
+    def miscount(*args):
+        calls.append(args)
+        return count(*args) + (len(calls) <= wrong_calls)
+
+    monkeypatch.setattr(dispersion, "_winding_count", miscount)
+    return calls
+
+
 class TestNearAxisRoots:
     # (mu, alpha, V): both dampings, beside the resonances on both sides,
     # and the slow damped end of the threshold scan, where the strip is
@@ -255,20 +279,9 @@ class TestNearAxisRoots:
         assert np.array_equal(near.real_behind, full.real_behind)
         assert not near.dense_retry
 
-    def _miscount(self, monkeypatch, wrong_calls):
-        # the winding count is off by one on the first wrong_calls calls
-        count, calls = dispersion._winding_count, []
-
-        def miscount(*args):
-            calls.append(args)
-            return count(*args) + (len(calls) <= wrong_calls)
-
-        monkeypatch.setattr(dispersion, "_winding_count", miscount)
-        return calls
-
     def test_dense_retry_recovers(self, monkeypatch):
         p = ModelParams(1.0, 0.1)
-        calls = self._miscount(monkeypatch, 1)
+        calls = _miscount(monkeypatch, 1)
         near = near_axis_roots(0.3, p)
         assert near.dense_retry and len(calls) == 3
         ref = root_set(0.3, p)
@@ -276,7 +289,7 @@ class TestNearAxisRoots:
                            rtol=0.0, atol=1e-9)
 
     def test_dense_retry_says_why(self, monkeypatch, caplog):
-        self._miscount(monkeypatch, 1)
+        _miscount(monkeypatch, 1)
         with caplog.at_level(logging.DEBUG, logger="fkwaves.dispersion"):
             assert near_axis_roots(0.3, ModelParams(1.0, 0.1)).dense_retry
         why = [r.getMessage() for r in caplog.records
@@ -286,7 +299,7 @@ class TestNearAxisRoots:
         assert "(V=0.3, alpha=0.1, first seeds)" in why[0]
 
     def test_count_mismatch_raises(self, monkeypatch):
-        calls = self._miscount(monkeypatch, 2)
+        calls = _miscount(monkeypatch, 2)
         with pytest.raises(RootCountMismatch,
                            match=r"strip 0 < Im k < 0\.6 \(V=0\.3,.*dense"):
             near_axis_roots(0.3, P1)
@@ -312,6 +325,8 @@ class TestStripSeeds:
 
     @pytest.mark.parametrize("mu,alpha,V", CASES)
     def test_same_roots_as_root_set(self, mu, alpha, V):
+        # both searches polish every root, but a root reached from another
+        # seed may settle on a neighbouring double: within rounding of L
         p = ModelParams(mu, alpha)
         near, full = near_axis_roots(V, p), root_set(V, p)
         assert not near.dense_retry
@@ -319,7 +334,7 @@ class TestStripSeeds:
                             (near.lower, full.lower)):
             ref = half[np.abs(half.imag) < STRIP_HEIGHT]
             assert strip.shape == ref.shape
-            assert np.max(np.abs(strip - ref), initial=0.0) < 1e-13
+            assert np.all(np.abs(strip - ref) <= 1e-15 * (1.0 + np.abs(ref)))
 
     @pytest.mark.parametrize("mu,alpha,V,root", [
         (0.5, 0.0, 0.1, 21.78 + 0.53j), (1.0, 0.1, 0.14746, 15.587 - 0.542j)])
@@ -328,6 +343,53 @@ class TestStripSeeds:
         assert root.real > np.sqrt(mu + 4.0) / V
         half = near.upper if root.imag > 0.0 else near.lower
         assert np.min(np.abs(half - root)) < 5e-3
+
+
+class TestRootSetSeeds:
+    # the dense retry adds a grid up to Im k = 9 to the first seeds, an
+    # independent reference for them: mu 4 undamped at V >= 1, where only
+    # the imaginary-axis seeds reach the root on that axis, and damped
+    # cases, among them the root set that came out furthest from its
+    # Newton fixed point before every root was polished
+    VS = np.linspace(0.05, 1.2, 107)
+    CASES = [(4.0, 0.0, 1.0), (4.0, 0.0, 1.1), (4.0, 0.0, 1.2),
+             (1.0, 0.0, 0.2), (4.0, 0.1, float(VS[74])),
+             (2.0, 0.1, float(VS[2])), (0.5, 0.5, 0.36462),
+             (1.0, 1.0, 0.15), (4.0, 0.5, 1.2)]
+
+    @pytest.mark.parametrize("mu,alpha,V", CASES)
+    def test_matches_dense_grid(self, mu, alpha, V):
+        p = ModelParams(mu, alpha)
+        rs = root_set(V, p)
+        assert not rs.dense_retry
+        for sgn, half in ((1.0, rs.upper), (-1.0, rs.lower)):
+            ref = dispersion._band_attempt(V, p, DEFAULT_N_PAIRS, sgn,
+                                           dense=True)
+            assert half.shape == ref.shape
+            assert np.max(np.abs(half - ref)) < 1e-12
+
+    @pytest.mark.parametrize("V", [1.0, 1.1, 1.2])
+    def test_imaginary_axis_root(self, V):
+        # L(iy) = mu + V^2 y^2 - 4 sinh^2(y/2) is concave in y for V <= 1
+        # and has one zero y > 0 on this range, located here by brentq
+        mu = 4.0
+        y = brentq(lambda y: mu + V**2 * y**2 - 4.0 * np.sinh(y / 2.0) ** 2,
+                   0.0, 20.0, xtol=1e-14)
+        upper = root_set(V, ModelParams(mu, 0.0)).upper
+        axis = upper[upper.real == 0.0]
+        assert axis.size == 1
+        assert axis[0].imag == pytest.approx(y, rel=1e-12)
+
+    def test_dense_retry_recovers(self, monkeypatch):
+        p = ModelParams(1.0, 0.1)
+        ref = root_set(0.3, p)
+        calls = _miscount(monkeypatch, 1)
+        rs = dispersion._complex_roots(0.3, p, DEFAULT_N_PAIRS)
+        # upper: first seeds miscounted, dense seeds; lower: first seeds
+        assert rs.dense_retry and len(calls) == 3
+        for half, ref_half in ((rs.upper, ref.upper), (rs.lower, ref.lower)):
+            assert half.shape == ref_half.shape
+            assert np.max(np.abs(half - ref_half)) < 1e-12
 
 
 class TestResonances:
