@@ -12,8 +12,8 @@ Two independent evaluation routes are provided: residue sums over a truncated
 root set (U_profile, kernel_q) and contour quadrature with analytic tails
 (U_integral, q_integral), whose contour passes each root at the real axis
 by an arc on the side the radiation condition picks. They cross-validate
-each other; the quadrature route is the accuracy workhorse for the
-kernel-based solvers.
+each other; the plateau solver (newwave's build_Q, find_z, solve_shape and
+assemble_wave) reads only the quadrature route.
 
 Both routes meet in one function, convolve, which sums U or q over a
 discrete measure of atoms (s_j, a_j). U_profile and kernel_q are the unit

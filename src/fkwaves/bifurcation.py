@@ -190,7 +190,7 @@ def shape_linear(jet: KernelJet) -> ShapeFunction:
     """Leading-order shape: two endpoint masses, no continuous part."""
     z = z_linear(jet)
     den = jet.q_minus - jet.q_plus
-    return ShapeFunction(z=z, s=np.array([-z, z]),
+    return ShapeFunction(s=np.array([-z, z]),
                          a=np.array([jet.q_minus / den, -jet.q_plus / den]))
 
 
@@ -240,5 +240,5 @@ def shape_quadratic(jet: KernelJet) -> ShapeFunction:
     half_sum = (jet.q_plus + jet.q_minus) / (2.0 * D)
     mass_minus = D / (2.0 * d) - half_sum  # at xi = -z
     mass_plus = D / (2.0 * d) + half_sum   # at xi = +z
-    return ShapeFunction(z=z, s=np.array([-z, z]),
+    return ShapeFunction(s=np.array([-z, z]),
                          a=z * zeta + np.array([mass_minus, mass_plus]))

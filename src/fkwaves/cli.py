@@ -80,7 +80,7 @@ def _velocity_grid(args) -> np.ndarray:
 
 
 def _wave(V: float, params: ModelParams, args) -> newwave.WaveSolution:
-    return newwave.kinetic_wave(V, params, m=args.m, kernel=args.kernel)
+    return newwave.kinetic_wave(V, params, m=args.m)
 
 
 def _velocity(args) -> float:
@@ -97,8 +97,7 @@ def _velocity(args) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_kinetic(args, params: ModelParams) -> None:
-    pts = newwave.kinetic_curve(_velocity_grid(args), params, m=args.m,
-                                kernel=args.kernel)
+    pts = newwave.kinetic_curve(_velocity_grid(args), params, m=args.m)
     rows = [(p.V, p.sigma, p.z, p.branch, p.admissible, p.flag) for p in pts]
     _write(args.out, _csv("V,sigma,z,branch,admissible,flag", rows))
 
@@ -266,12 +265,10 @@ def _build_parser():
     chain_run(p)
     p.add_argument("--tol", type=float, default=2e-3)
 
-    # the plateau-wave flags come last in each help listing
+    # the plateau-wave flag comes last in each help listing
     for p in wave_parsers:
         p.add_argument("--m", type=int, default=newwave.DEFAULT_MESH,
                        help="plateau mesh size")
-        p.add_argument("--kernel", choices=("quad", "residue"),
-                       default="quad", help="kernel evaluation route")
     return ap, sub.choices
 
 

@@ -228,9 +228,10 @@ def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
             t = np.union1d(t, at[(at > 0.0) & (at < 1.0)])
         pts.append(a + (b - a) * t)
     pts = np.concatenate(pts + [np.array([corners[-1]])])
+    # L is evaluated once per point: a round evaluates only its midpoints
+    vals = fresh = eval_L(pts, V, params)
     for _ in range(WINDING_ROUNDS):
-        vals = eval_L(pts, V, params)
-        if np.min(np.abs(vals)) < 1e-13:
+        if np.min(np.abs(fresh)) < 1e-13:
             raise RootCountMismatch(
                 "winding contour passes through a zero of L; shift the rectangle")
         dphi = np.angle(vals[1:] / vals[:-1])
@@ -242,7 +243,9 @@ def _winding_count(V: float, params: ModelParams, x0: float, x1: float,
                 raise RootCountMismatch(f"winding sum {total} is not an integer")
             return n
         mids = 0.5 * (pts[bad] + pts[bad + 1])
+        fresh = eval_L(mids, V, params)
         pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, fresh)
     raise RootCountMismatch("winding refinement did not settle")
 
 

@@ -59,19 +59,23 @@ class ShapeFunction:
     The shape is a discrete measure on [-z, z]: atoms at the ascending
     positions s with masses a, which sum to 1. A plateau shape has its
     first and last atoms at -z and +z, and those carry the end point
-    masses; the classical z = 0 wave is one unit atom at 0.
+    masses; the classical z = 0 wave is one unit atom at 0. z is the last
+    atom's position.
     """
 
-    z: float
     s: np.ndarray
     a: np.ndarray
+
+    @property
+    def z(self) -> float:
+        return float(self.s[-1])
 
     def mass(self) -> float:
         return float(np.sum(self.a))
 
 
 # the classical kink's shape: the unit atom at 0
-CLASSICAL = ShapeFunction(0.0, *UNIT_ATOM)
+CLASSICAL = ShapeFunction(*UNIT_ATOM)
 
 
 @dataclass(frozen=True)
@@ -137,12 +141,13 @@ def _trapezoid(mesh: np.ndarray) -> np.ndarray:
 
 
 def build_Q(z: float, V: float, params: ModelParams,
-            m: int = DEFAULT_MESH, kernel: str = "quad") -> np.ndarray:
+            m: int = DEFAULT_MESH) -> np.ndarray:
     """Discretized plateau operator Q[i][j] = w_j q(xi_i - s_j).
 
     Uniform m-point mesh on [-z, z] with trapezoidal weights; rows are the
     plateau collocation points, columns the shape samples. Convolution
-    structure: Q[i][j] / w_j depends on i - j only.
+    structure: Q[i][j] / w_j depends on i - j only. The kernel values come
+    from convolve's quadrature route, that is the kernel's q table.
     """
     if m < 3:
         raise ValueError("mesh size m must be >= 3")
@@ -150,15 +155,15 @@ def build_Q(z: float, V: float, params: ModelParams,
         raise ValueError("z must be positive")
     # kernel values q((i - j) d) for all lags of the uniform mesh
     lags = np.arange(-(m - 1), m) * (2.0 * z / (m - 1))
-    qv = convolve(lags, UNIT_ATOM, V, params, "q", kernel)
+    qv = convolve(lags, UNIT_ATOM, V, params, "q", "quad")
     w = _trapezoid(np.linspace(-z, z, m))
     idx = np.arange(m)
     Q = qv[(idx[:, None] - idx[None, :]) + m - 1]
     return Q * w[None, :]
 
 
-def find_z(V: float, params: ModelParams, m: int = DEFAULT_MESH,
-           kernel: str = "quad") -> list[float]:
+def find_z(V: float, params: ModelParams,
+           m: int = DEFAULT_MESH) -> list[float]:
     """Plateau half-widths where det Q(z) changes sign, ascending.
 
     The sign of det Q (from slogdet) is scanned on the fixed grid of z
@@ -168,7 +173,7 @@ def find_z(V: float, params: ModelParams, m: int = DEFAULT_MESH,
     """
 
     def sign(z: float) -> float:
-        return np.linalg.slogdet(build_Q(z, V, params, m, kernel))[0]
+        return np.linalg.slogdet(build_Q(z, V, params, m))[0]
 
     zs = np.concatenate([
         np.geomspace(Z_FLOOR, Z_RANGE[0], Z_FLOOR_POINTS, endpoint=False),
@@ -188,8 +193,7 @@ def find_z(V: float, params: ModelParams, m: int = DEFAULT_MESH,
 
 
 def solve_shape(z: float, V: float, params: ModelParams,
-                m: int = DEFAULT_MESH,
-                kernel: str = "quad") -> ShapeFunction:
+                m: int = DEFAULT_MESH) -> ShapeFunction:
     """Null direction of Q(z) as atoms on the mesh, of unit total mass.
 
     The atoms are the mesh points with masses w_j h_j, w the trapezoidal
@@ -197,7 +201,7 @@ def solve_shape(z: float, V: float, params: ModelParams,
     rank-one null space: smallest singular value <= 1e-6 of the largest and
     well separated from the next.
     """
-    Q = build_Q(z, V, params, m, kernel)
+    Q = build_Q(z, V, params, m)
     _, sv, vt = np.linalg.svd(Q)
     if sv[-1] > NULLSPACE_REL * sv[0]:
         raise NotConverged(
@@ -212,11 +216,11 @@ def solve_shape(z: float, V: float, params: ModelParams,
     integral = float(w @ h)
     if integral == 0.0:
         raise NullspaceNotRankOne("null direction has zero mean")
-    return ShapeFunction(z=z, s=s, a=w * (h / integral))
+    return ShapeFunction(s=s, a=w * (h / integral))
 
 
-def assemble_wave(shape: ShapeFunction, V: float, params: ModelParams,
-                  kernel: str = "quad") -> WaveSolution:
+def assemble_wave(shape: ShapeFunction, V: float,
+                  params: ModelParams) -> WaveSolution:
     """Wave profile and stress from a shape function.
 
     sigma is fixed by u(z) + u(-z) = 0; the reported residual is max |u|
@@ -228,7 +232,7 @@ def assemble_wave(shape: ShapeFunction, V: float, params: ModelParams,
     plateau = np.linspace(-shape.z, shape.z, PLATEAU_SAMPLES)
     u_edges, u_plat = np.split(convolve(
         np.concatenate([edges, plateau]), (shape.s, shape.a), V, params,
-        "U", kernel), [2])
+        "U", "quad"), [2])
     sigma = Sigma - 0.5 * float(np.sum(u_edges))
     residual = float(np.max(np.abs(sigma - Sigma + u_plat)))
     wave = WaveSolution(V=V, params=params, sigma=sigma, shape=shape,
@@ -249,8 +253,8 @@ def check_generalized(wave: WaveSolution) -> bool:
     return admissible_signs(wave.evaluate, wave.z + SIGN_GRID)
 
 
-def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
-                 kernel: str = "quad") -> WaveSolution:
+def kinetic_wave(V: float, params: ModelParams,
+                 m: int = DEFAULT_MESH) -> WaveSolution:
     """The wave of one point of the kinetic relation sigma(V).
 
     Returns the classical kink when it is admissible; otherwise runs the
@@ -263,16 +267,16 @@ def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
     if ac_admissible(V, params):
         return WaveSolution(V=V, params=params, sigma=sigma_AC(V, params),
                             shape=CLASSICAL, residual=0.0, admissible=True)
-    candidates = find_z(V, params, m, kernel)
+    candidates = find_z(V, params, m)
     accepted: list[WaveSolution] = []
     reasons: list[tuple[float, str]] = []
     for z in candidates:
         try:
-            shape = solve_shape(z, V, params, m, kernel)
+            shape = solve_shape(z, V, params, m)
         except (NotConverged, NullspaceNotRankOne) as exc:
             reasons.append((z, f"{type(exc).__name__}: {exc}"))
             continue
-        wave = assemble_wave(shape, V, params, kernel)
+        wave = assemble_wave(shape, V, params)
         if wave.admissible:
             accepted.append(wave)
         elif wave.residual > PLATEAU_TOL:
@@ -290,8 +294,8 @@ def kinetic_wave(V: float, params: ModelParams, m: int = DEFAULT_MESH,
     return accepted[0]
 
 
-def kinetic_curve(V_list, params: ModelParams, m: int = DEFAULT_MESH,
-                  kernel: str = "quad") -> list[KineticPoint]:
+def kinetic_curve(V_list, params: ModelParams,
+                  m: int = DEFAULT_MESH) -> list[KineticPoint]:
     """kinetic_wave per velocity; failures become flagged placeholder rows.
 
     Resonant velocities are marked SKIPPED_RESONANT with NaN sigma.
@@ -303,7 +307,7 @@ def kinetic_curve(V_list, params: ModelParams, m: int = DEFAULT_MESH,
     out = []
     for V in V_list:
         try:
-            wave = kinetic_wave(V, params, m, kernel)
+            wave = kinetic_wave(V, params, m)
             out.append(KineticPoint(V=V, sigma=wave.sigma, z=wave.z,
                                     admissible=wave.admissible,
                                     branch=wave.branch))

@@ -2,19 +2,20 @@
 
 Each test pins one externally visible guarantee of the package at its
 stated tolerance: the threshold velocity, anchor points of the kinetic
-relation, cross-validation of the two kernel routes, the near-threshold
-expansion, and direct lattice runs confirming which waves propagate and
+relation, cross-validation of the two kernel routes, the energy balance
+of every wave on the kinetic curve, the near-threshold expansion, and direct lattice runs confirming which waves propagate and
 which trap.
 """
 
 import numpy as np
 import pytest
 
-from fkwaves import (ModelParams, U_integral, energy, init_from_wave,
-                     init_riemann, kernel_jet, kinetic_curve, kinetic_wave,
-                     peierls_stress, resonance_velocities, run_and_classify,
-                     sigma_AC, sweep_dynamic_threshold, threshold_V0,
-                     z_linear)
+from fkwaves import (ModelParams, U_integral, energy, eval_Lk,
+                     init_from_wave, init_riemann, kernel_jet, kinetic_curve,
+                     kinetic_wave, peierls_stress, real_roots,
+                     resonance_velocities, run_and_classify, sigma_AC,
+                     sweep_dynamic_threshold, threshold_V0, z_linear)
+from fkwaves import newwave
 from fkwaves.chain import front_position, step
 
 # Cross-validation grid for the two profile routes, clear of the kernel
@@ -26,7 +27,7 @@ XI_CROSS = np.array([-9.0, -6.5, -5.5, -3.3, -2.2, -1.0, -0.4, 0.3, 0.7,
 NEAR_THRESHOLD_V = (0.33, 0.3375, 0.345, 0.35, 0.355)
 
 DUAL_ROUTE_TOL = 1e-6
-CURVE_KERNEL_TOL = 1e-4
+ENERGY_GAP_TOL = 1e-5
 JUMP_TOL = 1e-6
 REDUCTION_TOL = 1e-10
 PLATEAU_RESIDUAL_TOL = 1e-5
@@ -93,15 +94,51 @@ def test_profile_routes_cross_validate(wave_v05, wave_v02):
         assert np.max(np.abs(a - b)) <= DUAL_ROUTE_TOL
 
 
+# ---------------------------------------------------------------------------
+# energy balance
+# ---------------------------------------------------------------------------
+
+def radiated_flux(wave):
+    """The undamped energy balance's sigma: the work of the applied stress
+    leaves as phonons, 2 mu sum_r |h(r)|^2 / |r L_k(r)| over the positive
+    real roots r, with h(r) = sum_j a_j e^{-i r s_j} the shape's transform.
+    The classical kink has h = 1, and the sum is sigma_AC's own."""
+    r = real_roots(wave.V, wave.params)
+    h = np.exp(-1j * np.outer(r, wave.shape.s)) @ wave.shape.a
+    return 2.0 * wave.params.mu * float(np.sum(
+        np.abs(h) ** 2 / np.abs(r * eval_Lk(r, wave.V, wave.params).real)))
+
+
 @pytest.mark.slow
-def test_kinetic_curve_kernel_independent(params):
+def test_kinetic_curve_matches_radiated_energy(params, monkeypatch):
+    # the waves kinetic_curve builds, to read their shapes
+    waves = []
+    build = newwave.kinetic_wave
+
+    def record(*args):
+        waves.append(build(*args))
+        return waves[-1]
+
+    monkeypatch.setattr(newwave, "kinetic_wave", record)
     velocities = np.linspace(0.16, 0.55, 20)
-    by_residue = kinetic_curve(velocities, params, kernel="residue")
-    by_quad = kinetic_curve(velocities, params, kernel="quad")
-    for r, q in zip(by_residue, by_quad):
-        assert r.flag == "ok"
-        assert q.flag == "ok"
-        assert abs(r.sigma - q.sigma) <= CURVE_KERNEL_TOL
+    rows = kinetic_curve(velocities, params)
+    assert len(waves) == len(rows) == len(velocities)
+    for row, wave in zip(rows, waves):
+        assert row.flag == "ok"
+        assert row.admissible
+        assert row.sigma == wave.sigma
+        assert abs(row.sigma - radiated_flux(wave)) <= ENERGY_GAP_TOL
+
+
+def test_energy_gap_converges_at_second_order(params, wave_v02):
+    # the gap is the plateau mesh's error: each doubling of m cuts it
+    # about four times
+    waves = [kinetic_wave(0.2, params, m=50), wave_v02,
+             kinetic_wave(0.2, params, m=200)]
+    gaps = [abs(w.sigma - radiated_flux(w)) for w in waves]
+    assert gaps[2] > 0.0
+    assert gaps[0] >= 3.5 * gaps[1]
+    assert gaps[1] >= 3.5 * gaps[2]
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,19 @@ class TestConfigAndErrors:
         assert main(["bifurcation", "--config", str(cfgf),
                      "--skip-numeric"]) == 2
 
+    def test_removed_kernel_option(self, tmp_path, capsys):
+        # the plateau pipeline reads the kernel one way, so neither the
+        # flag nor the config key picks it
+        with pytest.raises(SystemExit) as exc:
+            main(["kinetic", "--kernel", "residue"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+        cfgf = tmp_path / "old.json"
+        cfgf.write_text(json.dumps({"kernel": "quad"}))
+        assert main(["kinetic", "--config", str(cfgf)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown config keys for kinetic: kernel")
+
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read config"),
         ("{not json", "cannot read config"),

@@ -392,6 +392,34 @@ class TestRootSetSeeds:
             assert np.max(np.abs(half - ref_half)) < 1e-12
 
 
+class TestWindingCount:
+    def test_evaluates_each_contour_point_once(self, monkeypatch):
+        # a refinement round evaluates L only at the midpoints it inserts;
+        # the closing corner repeats the contour's first point
+        count, eval_L = dispersion._winding_count, dispersion.eval_L
+        points, active = [], []
+
+        def winding(*args):
+            points.append([])
+            active.append(True)
+            try:
+                return count(*args)
+            finally:
+                active.pop()
+
+        def counted_L(k, V, params):
+            if active:
+                points[-1].append(np.ravel(k))
+            return eval_L(k, V, params)
+
+        monkeypatch.setattr(dispersion, "_winding_count", winding)
+        monkeypatch.setattr(dispersion, "eval_L", counted_L)
+        root_set.__wrapped__(0.2, ModelParams(1.0, 0.1))
+        assert points
+        for pts in map(np.concatenate, points):
+            assert pts.size == np.unique(pts).size + 1
+
+
 class TestResonances:
     def test_count_zero_is_empty(self):
         assert resonance_velocities(P1, count=0) == []
