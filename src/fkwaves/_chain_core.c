@@ -1,4 +1,4 @@
-/* Compiled chain integrator; mirrors _chain_numpy.run_chain.
+/* Compiled chain integrator and front scan; mirrors _chain_numpy.
  *
  * Every floating-point operation runs in the same order as in the NumPy
  * reference, so the two backends give bit-identical trajectories. setup.py
@@ -9,6 +9,13 @@
  *   -fno-trapping-math  the (u > 0 ? 2 : 0) select becomes a compare-and-
  *                       mask instead of a branch, so the force loop
  *                       vectorises. It changes no IEEE result.
+ * The NumPy reference makes three passes per step: kick-drift, force, and
+ * the closing half-kick. integrate() fuses each step's closing half-kick
+ * with the next step's kick-drift, so a step makes two passes over memory:
+ * force, then one update. Each element still sees the same operations in
+ * the same order, v = (v + hdt F) f2 and then v = f1 v + hdt F,
+ * u = u + dt v; only the loop over the sites is shared, so u and v stay
+ * bit-identical. The first kick-drift and the last half-kick run alone.
  * On x86-64 with GCC, integrate() is built three times (target_clones),
  * for AVX-512F, AVX2 and baseline SSE2, with force() inlined into each. The
  * call goes through an ifunc: the dynamic loader runs its resolver once,
@@ -18,6 +25,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <string.h>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -45,24 +53,34 @@ static void integrate(double *u, double *v, double *F, Py_ssize_t n,
     double hdt = 0.5 * dt;
     double f1 = 1.0 - alpha * hdt;
     double f2 = 1.0 / (1.0 + alpha * hdt);
+    if (n_steps == 0)
+        return;
     force(u, F, n, mu, sigma);
-    for (Py_ssize_t s = 0; s < n_steps; s++) {
+    for (Py_ssize_t i = 1; i < n - 1; i++) {
+        v[i] = f1 * v[i] + hdt * F[i];
+        u[i] = u[i] + dt * v[i];
+    }
+    for (Py_ssize_t s = 1; s < n_steps; s++) {
+        force(u, F, n, mu, sigma);
         for (Py_ssize_t i = 1; i < n - 1; i++) {
-            v[i] = f1 * v[i] + hdt * F[i];
+            double w = (v[i] + hdt * F[i]) * f2;
+            v[i] = f1 * w + hdt * F[i];
             u[i] = u[i] + dt * v[i];
         }
-        force(u, F, n, mu, sigma);
-        for (Py_ssize_t i = 1; i < n - 1; i++)
-            v[i] = (v[i] + hdt * F[i]) * f2;
     }
+    force(u, F, n, mu, sigma);
+    for (Py_ssize_t i = 1; i < n - 1; i++)
+        v[i] = (v[i] + hdt * F[i]) * f2;
 }
 
-/* A writable, C-contiguous, 1-D float64 view of obj, or -1 with an error. */
-static int state_view(PyObject *obj, Py_buffer *view, const char *name)
+/* A C-contiguous, 1-D float64 view of obj, writable if asked, or -1 with an
+ * error. */
+static int state_view(PyObject *obj, Py_buffer *view, const char *name,
+                      int writable)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
-    if (view->readonly) {
+    if (writable && view->readonly) {
         PyErr_Format(PyExc_ValueError, "%s is read-only", name);
     } else if (view->ndim != 1 || !PyBuffer_IsContiguous(view, 'C')) {
         PyErr_Format(PyExc_ValueError, "%s must be a 1-D C-contiguous buffer",
@@ -89,10 +107,16 @@ static PyObject *run_chain(PyObject *self, PyObject *args, PyObject *kwargs)
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOddddn:run_chain",
                                      kwlist, &u_obj, &v_obj, &mu, &sigma,
-                                     &alpha, &dt, &n_steps)
-        || state_view(u_obj, &ub, "u") < 0)
+                                     &alpha, &dt, &n_steps))
         return NULL;
-    if (state_view(v_obj, &vb, "v") < 0)
+    if (n_steps < 0) {
+        PyErr_Format(PyExc_ValueError, "n_steps must be non-negative, got %zd",
+                     n_steps);
+        return NULL;
+    }
+    if (state_view(u_obj, &ub, "u", 1) < 0)
+        return NULL;
+    if (state_view(v_obj, &vb, "v", 1) < 0)
         goto release_u;
     Py_ssize_t n = ub.shape[0];
     if (vb.shape[0] != n) {
@@ -117,17 +141,49 @@ release_u:
     return result;
 }
 
+/* One pass over u: the leftmost front site (u[i] > 0 >= u[i + 1]) or -1,
+ * the number of front sites, and max |u|, which is NaN if any u[i] is. */
+static PyObject *front_scan(PyObject *self, PyObject *u_obj)
+{
+    Py_buffer ub;
+    if (state_view(u_obj, &ub, "u", 0) < 0)
+        return NULL;
+    const double *u = ub.buf;
+    Py_ssize_t n = ub.shape[0], first = -1, count = 0;
+    if (n == 0) {
+        PyBuffer_Release(&ub);
+        PyErr_SetString(PyExc_ValueError, "u is empty");
+        return NULL;
+    }
+    double max_abs = fabs(u[0]);
+    for (Py_ssize_t i = 0; i < n - 1; i++) {
+        double a = fabs(u[i + 1]);
+        if (a > max_abs || a != a)
+            max_abs = a;
+        if (u[i] > 0.0 && u[i + 1] <= 0.0) {
+            if (count++ == 0)
+                first = i;
+        }
+    }
+    PyBuffer_Release(&ub);
+    return Py_BuildValue("nnd", first, count, max_abs);
+}
+
 static PyMethodDef methods[] = {
     {"run_chain", (PyCFunction)(void (*)(void))run_chain,
      METH_VARARGS | METH_KEYWORDS,
      "run_chain(u, v, mu, sigma, alpha, dt, n_steps)\n--\n\n"
      "Advance the damped chain in place; mirrors _chain_numpy.run_chain."},
+    {"front_scan", front_scan, METH_O,
+     "front_scan(u)\n--\n\n"
+     "(first, count, max_abs) of u; mirrors _chain_numpy.front_scan."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_chain_core",
-    "Compiled chain integrator, bit-identical to _chain_numpy.", -1, methods
+    "Compiled chain integrator and front scan, bit-identical to _chain_numpy.",
+    -1, methods
 };
 
 PyMODINIT_FUNC PyInit__chain_core(void)

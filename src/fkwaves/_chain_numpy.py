@@ -1,9 +1,14 @@
-"""Pure NumPy chain integrator; reference implementation.
+"""Pure NumPy chain integrator and front scan; reference implementation.
 
 The hand-written C core in _chain_core.c is the same algorithm with the same
 floating-point operation order (compiled with fused multiply-adds disabled),
-so trajectories from the two backends agree bit for bit. Keep the two in
-step: tests/test_backends.py checks the identity on random states.
+so trajectories from the two backends agree bit for bit. run_chain here makes
+three passes per step: kick-drift, force, closing half-kick. The C core fuses
+each closing half-kick with the next step's kick-drift into one pass over
+the sites; every element still takes v = (v + hdt F) f2, then
+v = f1 v + hdt F and u = u + dt v, in this order, so nothing is rounded
+differently. Keep the two in step: tests/test_backends.py checks the identity
+of run_chain and front_scan on random and hand-built states.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ def run_chain(u: np.ndarray, v: np.ndarray, mu: float, sigma: float,
 
     Sites 0 and N stay frozen at their initial values. The damping enters
     through the standard factorization: half kicks scaled by
-    f1 = 1 - alpha dt / 2 and f2 = 1 / (1 + alpha dt / 2).
+    f1 = 1 - alpha dt / 2 and f2 = 1 / (1 + alpha dt / 2). Raises
+    ValueError for a negative n_steps.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     hdt = 0.5 * dt
     f1 = 1.0 - alpha * hdt
     f2 = 1.0 / (1.0 + alpha * hdt)
@@ -33,6 +41,18 @@ def run_chain(u: np.ndarray, v: np.ndarray, mu: float, sigma: float,
         F = _force(u, mu, sigma)
         vi += hdt * F
         vi *= f2
+
+
+def front_scan(u: np.ndarray) -> tuple[int, int, float]:
+    """(first, count, max_abs) of a 1-D float64 chain state u.
+
+    first is the leftmost site n with u_n > 0 >= u_{n+1}, or -1 if there is
+    none; count is the number of such sites; max_abs is max |u|, NaN if any
+    site is NaN. Raises ValueError for an empty u.
+    """
+    hits = np.nonzero((u[:-1] > 0.0) & (u[1:] <= 0.0))[0]
+    first = int(hits[0]) if len(hits) else -1
+    return first, len(hits), float(np.max(np.abs(u)))
 
 
 def _force(u: np.ndarray, mu: float, sigma: float) -> np.ndarray:

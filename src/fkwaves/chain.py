@@ -13,11 +13,12 @@ depinning threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import BACKEND, run_chain
+from ._backend import BACKEND, front_scan, run_chain
 from .dispersion import bisect_change
 from .errors import Inconclusive, NoFront, NumericBlowup, ProfileRange
 from .newwave import WaveSolution
@@ -149,21 +150,22 @@ def init_from_wave(wave: WaveSolution, N: int,
     return ChainState(u=u, v=v, t=0.0, params=wave.params, sigma=wave.sigma)
 
 
-def _front_sites(u: np.ndarray) -> np.ndarray:
-    """Sites n with u_n > 0 and u_{n+1} <= 0, ascending; NoFront if none."""
-    hits = np.nonzero((u[:-1] > 0.0) & (u[1:] <= 0.0))[0]
-    if len(hits) == 0:
-        raise NoFront("no site satisfies u_n > 0 >= u_{n+1}")
-    return hits
+_NO_FRONT = "no site satisfies u_n > 0 >= u_{n+1}"
 
 
 def front_position(u: np.ndarray) -> int:
-    """Leftmost site n with u_n > 0 and u_{n+1} <= 0."""
-    return int(_front_sites(u)[0])
+    """Leftmost site n with u_n > 0 and u_{n+1} <= 0; NoFront if none."""
+    first = front_scan(np.ascontiguousarray(u, dtype=float))[0]
+    if first < 0:
+        raise NoFront(_NO_FRONT)
+    return first
 
 
 def step(state: ChainState, dt: float, n_steps: int = 1) -> ChainState:
-    """Advance the state in place by n_steps of size dt; returns the state."""
+    """Advance the state in place by n_steps of size dt; returns the state.
+
+    Raises ValueError, with the state untouched, for a negative n_steps.
+    """
     run_chain(state.u, state.v, state.params.mu, state.sigma,
               state.params.alpha, dt, n_steps)
     state.t += n_steps * dt
@@ -199,14 +201,14 @@ def run_and_classify(state: ChainState, T: float,
     exited = False
     for _ in range(n_rec):
         step(state, dt, sub)
-        m = float(np.max(np.abs(state.u)))
-        if not np.isfinite(m) or m > BLOWUP_LIMIT:
+        nu, n_fronts, m = front_scan(state.u)
+        if not math.isfinite(m) or m > BLOWUP_LIMIT:
             raise NumericBlowup(f"|u| reached {m:.1e} at t={state.t:.1f}")
-        hits = _front_sites(state.u)
-        nu = int(hits[0])
+        if nu < 0:
+            raise NoFront(_NO_FRONT)
         times.append(state.t)
         fronts.append(nu)
-        if len(hits) > 1:
+        if n_fronts > 1:
             flags.add("MULTIFRONT")
         if nu > state.N - EDGE_GUARD:
             exited = True

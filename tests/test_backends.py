@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fkwaves import BACKEND, PURE_ENV_VAR
+from fkwaves import BACKEND, PURE_ENV_VAR, ModelParams, init_riemann, step
 from fkwaves import _chain_numpy
+from fkwaves.chain import BLOWUP_LIMIT
 
 try:
     from fkwaves import _chain_core
@@ -18,6 +19,8 @@ except ImportError:
 
 needs_core = pytest.mark.skipif(_chain_core is None,
                                 reason="extension not built")
+BACKENDS = [pytest.param(_chain_numpy, id="numpy"),
+            pytest.param(_chain_core, id="c", marks=needs_core)]
 
 
 def _trajectory(run_chain, n_steps):
@@ -63,6 +66,30 @@ def chain_runs(draw):
     return u, v, args
 
 
+# any float, with the signed zeros and non-finite values drawn often
+site_values = (st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+
+ABOVE_LIMIT = np.nextafter(BLOWUP_LIMIT, np.inf)
+NAN, INF = np.nan, np.inf
+SCAN_STATES = {
+    "no front, all negative": [-0.5] * 10,
+    "no front, all positive": [0.5] * 10,
+    "no front, rising": [-1.0, -0.2, 0.0, 0.3, 1.0],
+    "one site": [0.3],
+    "several fronts": [1.0, -1.0, 2.0, -2.0, 3.0, -3.0],
+    "first and last bond": [1.0, 0.0, 1.0, 1.0, -1.0],
+    "signed zeros": [0.0, -0.0, 1.0, -0.0, 0.0, 1.0, 0.0, 2.0, -0.0],
+    "nan first": [NAN, 1.0, -1.0],
+    "nan in the front": [1.0, NAN, -1.0],
+    "nan last": [1.0, -1.0, NAN],
+    "infinities": [INF, -1.0, 1.0, -INF],
+    "minus infinity first": [-INF, 1.0, -1.0],
+    "just above the blow-up limit": [1.0, -ABOVE_LIMIT, 1.0, -1.0],
+    "exactly the blow-up limit": [BLOWUP_LIMIT, -1.0],
+}
+
+
 class TestSelection:
     def test_active_backend_is_compiled(self):
         # conftest builds the extension; absence would be a packaging bug
@@ -100,18 +127,84 @@ class TestBitIdentity:
 
     # 3..19 sites give every remainder of an 8-lane loop over the n - 2
     # interior sites, and the short chains that skip the vector loop;
-    # 1001 and 3001 are the depinning sweep's and the wave run's chains
+    # 1001 and 3001 are the depinning sweep's and the wave run's chains.
+    # 0..3 steps reach the fused loop's first and last steps, or skip it
     @needs_core
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     @pytest.mark.parametrize("n", [*range(3, 20), 1001, 3001])
     def test_every_vector_remainder_bit_identical(self, n, alpha):
         u0, v0 = _two_phase(n, seed=n)
-        u_a, v_a, u_b, v_b = u0.copy(), v0.copy(), u0.copy(), v0.copy()
-        args = (1.0, 0.1, alpha, 0.05, 300)
-        _chain_numpy.run_chain(u_a, v_a, *args)
-        _chain_core.run_chain(u_b, v_b, *args)
-        assert np.array_equal(_bits(u_a), _bits(u_b))
-        assert np.array_equal(_bits(v_a), _bits(v_b))
+        for n_steps in (0, 1, 2, 3, 300):
+            u_a, v_a, u_b, v_b = u0.copy(), v0.copy(), u0.copy(), v0.copy()
+            args = (1.0, 0.1, alpha, 0.05, n_steps)
+            _chain_numpy.run_chain(u_a, v_a, *args)
+            _chain_core.run_chain(u_b, v_b, *args)
+            assert np.array_equal(_bits(u_a), _bits(u_b)), n_steps
+            assert np.array_equal(_bits(v_a), _bits(v_b)), n_steps
+            if n_steps == 0:
+                assert np.array_equal(_bits(u_b), _bits(u0))
+                assert np.array_equal(_bits(v_b), _bits(v0))
+
+
+def _scans_agree(u):
+    u = np.asarray(u, dtype=float)
+    first, count, max_abs = _chain_core.front_scan(u)
+    ref_first, ref_count, ref_max_abs = _chain_numpy.front_scan(u)
+    assert (first, count) == (ref_first, ref_count)
+    assert np.array_equal(max_abs, ref_max_abs, equal_nan=True)
+    return first, count, max_abs
+
+
+class TestFrontScan:
+    @needs_core
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.lists(site_values, min_size=1, max_size=400))
+    def test_random_values_agree(self, u):
+        _scans_agree(u)
+
+    @needs_core
+    @settings(max_examples=60, deadline=None)
+    @given(run=chain_runs())
+    def test_integrated_states_agree(self, run):
+        u, v, args = run
+        _chain_core.run_chain(u, v, *args)
+        _scans_agree(u)
+
+    @needs_core
+    @pytest.mark.parametrize("u", SCAN_STATES.values(), ids=list(SCAN_STATES))
+    def test_hand_built_states_agree(self, u):
+        first, count, max_abs = _scans_agree(u)
+        u = np.asarray(u)
+        hits = [n for n in range(u.size - 1) if u[n] > 0.0 >= u[n + 1]]
+        assert (first, count) == ((hits or [-1])[0], len(hits))
+        if np.isnan(u).any():
+            assert np.isnan(max_abs)
+        else:
+            assert max_abs == np.abs(u).max()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_state_rejected(self, backend):
+        with pytest.raises(ValueError):
+            backend.front_scan(np.empty(0))
+
+
+class TestNegativeSteps:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_backend_rejects_and_leaves_state(self, backend):
+        u0, v0 = _two_phase(12, seed=3)
+        u, v = u0.copy(), v0.copy()
+        with pytest.raises(ValueError, match="n_steps"):
+            backend.run_chain(u, v, 1.0, 0.1, 0.0, 0.01, -5)
+        assert np.array_equal(_bits(u), _bits(u0))
+        assert np.array_equal(_bits(v), _bits(v0))
+
+    def test_step_keeps_the_clock(self):
+        state = init_riemann(40, ModelParams(1.0, 0.0), 0.05)
+        u0 = state.u.copy()
+        with pytest.raises(ValueError, match="n_steps"):
+            step(state, 0.01, -5)
+        assert state.t == 0.0
+        assert np.array_equal(state.u, u0)
 
 
 BAD_STATES = {

@@ -94,11 +94,25 @@ class TestIntegrator:
         with pytest.raises(NumericBlowup):
             run_and_classify(init_riemann(100, params, 0.05), T=400.0, dt=2.0)
 
+    @pytest.mark.parametrize("site, value", [
+        (20, np.nan), (-1, np.nan), (-1, -np.inf),
+        (-1, -np.nextafter(chain.BLOWUP_LIMIT, np.inf))])
+    def test_bad_value_detected(self, params, site, value):
+        # an interior NaN spreads through the force; a frozen end keeps its
+        # value, so the first record's scan sees it as set
+        state = init_riemann(100, params, 0.05)
+        state.u[site] = value
+        with pytest.raises(NumericBlowup):
+            run_and_classify(state, T=400.0)
+
 
 class TestFront:
     def test_front_position(self):
         u = np.array([1.1, 1.0, 0.2, -0.8, -1.0])
         assert front_position(u) == 2
+        # any array-like of numbers, not only float64 arrays
+        assert front_position([2, 1, -1, -1]) == 1
+        assert front_position(np.repeat(u, 2)[::2]) == 2
 
     def test_no_front(self):
         with pytest.raises(NoFront):
