@@ -17,12 +17,13 @@ assemble_wave) reads only the quadrature route.
 
 Both routes meet in one function, convolve, which sums U or q over a
 discrete measure of atoms (s_j, a_j). U_profile and kernel_q are the unit
-atom at 0; a plateau wave is its shape's atoms. On the residue route the
-atoms below each xi enter the plus series through prefix sums of
-a_j e^{-ik s_j} and those above it the minus series through suffix sums,
-so a whole shape costs one product of xi against the roots per series.
-On the quadrature route every plateau computation reads the kernel only at
-small lags, where q and U are analytic between the integers; there convolve
+atom at 0; a plateau wave is its shape's atoms. The residue route reads
+points outside the atoms' support only, and a single atom's own position:
+ahead of the last atom the plus series, behind the first the minus series,
+each through P(k) = sum_j a_j e^{-ik s_j} and the total mass, so a whole
+shape costs one product of xi against the roots per series. On the
+quadrature route every plateau computation reads the kernel only at small
+lags, where q and U are analytic between the integers; there convolve
 reads a piecewise-Chebyshev table of each, built once per velocity from the
 quadrature's own values.
 
@@ -124,16 +125,15 @@ def sigma_AC(V: float, params: ModelParams) -> float:
     alpha > 0 no real roots exist and sigma is fixed by continuity U(0) = 0,
     which resolves to mu (S_plus - S_minus) with S_pm the residue sums
     1/(k L_k) over the DEFAULT_N_PAIRS upper/lower half-plane roots of
-    root_set. The recipes agree in the alpha -> 0 limit.
+    root_set, read from the branch terms that convolve sums. The recipes
+    agree in the alpha -> 0 limit.
     """
     if params.alpha == 0.0:
         rs = real_roots(V, params)
         return 2.0 * params.mu * float(np.sum(
             1.0 / np.abs(rs * eval_Lk(rs, V, params).real)))
-    roots = root_set(V, params)
-    s_plus = np.sum(1.0 / (roots.upper * eval_Lk(roots.upper, V, params)))
-    s_minus = np.sum(1.0 / (roots.lower * eval_Lk(roots.lower, V, params)))
-    sig = params.mu * (s_plus - s_minus)
+    kp, lkp, km, lkm = _branch_terms(V, params)
+    sig = params.mu * (np.sum(1.0 / (kp * lkp)) - np.sum(1.0 / (km * lkm)))
     return float(_real_checked(np.array([sig]), "sigma residue sum")[0])
 
 
@@ -149,6 +149,12 @@ def _branch_terms(V: float, params: ModelParams):
 
 def _truncation_check(V: float, plus0: float, minus0: float,
                       what: str) -> None:
+    """Warn when the branches at an atom differ by over TRUNCATION_TOL.
+
+    Only U_profile(0) and kernel_q(0) reach it; read_wave never does.
+    Undamped the branches of q are conjugate, so kernel_q(0, V = 0.2) =
+    -0.60853 (q_integral: -0.62107) passes in silence; damped it fires.
+    """
     if abs(plus0 - minus0) > TRUNCATION_TOL:
         warnings.warn(
             f"{what} branch mismatch {abs(plus0 - minus0):.2e} at xi=0: the "
@@ -156,50 +162,44 @@ def _truncation_check(V: float, plus0: float, minus0: float,
             f"at V={V}", TruncationWarning, stacklevel=3)
 
 
-def _one_sided_sum(x, k, coef, sums, what: str) -> np.ndarray:
-    """Re sum_k e^{ik x} sums_k coef_k for each x (sums None means all 1)."""
+def _one_sided_sum(x, k, coef, P, what: str) -> np.ndarray:
+    """Re sum_k e^{ik x} P_k coef_k for each x."""
     E = np.outer(x, 1j * k)
     np.exp(E, out=E)
-    if sums is not None:
-        E *= sums
+    E *= P
     return _real_checked(E @ coef, what)
-
-
-def _partial_sums(v: np.ndarray, side: str) -> np.ndarray:
-    """Row i sums v over atoms j < i ("plus") or j >= i ("minus"), i <= m."""
-    out = np.zeros((len(v) + 1,) + v.shape[1:], v.dtype)
-    if side == "plus":
-        out[1:] = np.cumsum(v, axis=0)
-    else:
-        out[:-1] = np.cumsum(v[::-1], axis=0)[::-1]
-    return out
 
 
 def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
              method: str = "residue"):
     """sum_j a_j f(xi - s_j) for f = U (at sigma = Sigma(V)) or f = q.
 
-    atoms = (s, a) is a discrete measure: positions s_j in ascending order,
-    within a few units of 0, and masses a_j. The classical profile and
-    kernel are the unit atom at 0, and a plateau wave is its shape's atoms.
+    atoms = (s, a) is a discrete measure of one atom or more: positions s_j
+    in ascending order, within a few units of 0, and masses a_j. The
+    classical profile and kernel are the unit atom at 0, and a plateau wave
+    is its shape's atoms. Every xi must be finite.
 
-    The "residue" route splits the atoms at each xi. Those with s_j < xi
-    enter the plus branch through the prefix sums
-    P(k) = sum_j a_j e^{-ik s_j}, those with s_j > xi the minus branch
-    through the matching suffix sums, so the work is one n_xi x n_roots
-    product per branch. A branch is formed only on the rows that have atoms
-    on its side, since e^{ik xi} overflows far out on the other side. Atoms
-    at s_j = xi take the branch average at lag 0, whose mismatch measures
-    truncation. The "quad" route has no one-sided form and sums over the
-    lags xi - s_j: from the kernel's table (KernelQuadrature.table) when
-    every lag lies within TABLE_REACH, else by quadrature.
+    The "residue" route reads points outside the support [s_0, s_-1]: a
+    point ahead of the last atom takes the plus branch and one behind the
+    first atom the minus branch, each through P(k) = sum_j a_j e^{-ik s_j}
+    and the total mass, so the work is one n_xi x n_roots product per
+    branch. A single atom may also be read at its own position, the branch
+    average at lag 0. Any other point raises ValueError; read_wave takes
+    those by quadrature. The "quad" route has no one-sided form and sums
+    over the lags xi - s_j: from the kernel's table (KernelQuadrature.table)
+    when every lag lies within TABLE_REACH, else by quadrature.
     """
     if kind not in ("U", "q"):
         raise ValueError(f"unknown convolution kind {kind!r}")
     s, a = (np.asarray(v, float) for v in atoms)
+    if s.size == 0 or s.shape != a.shape:
+        raise ValueError("a measure needs at least one atom and one mass "
+                         "per position")
     if np.any(np.diff(s) < 0.0):
         raise ValueError("atom positions must be in ascending order")
     xi = np.atleast_1d(np.asarray(xi, float))
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("convolve reads only finite points")
     if method == "quad":
         qk = quad_kernel(V, params)
         lags = (xi[:, None] - s[None, :]).ravel()
@@ -208,6 +208,13 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
         return vals.reshape(len(xi), len(s)) @ a
     if method != "residue":
         raise ValueError(f"unknown kernel method {method!r}")
+    ahead, behind = xi > s[-1], xi < s[0]
+    on = ~(ahead | behind)
+    if on.any() and s.size > 1:
+        raise ValueError(
+            f"the residue route reads {s.size} atoms only outside their "
+            f"support [{s[0]:g}, {s[-1]:g}]; read_wave takes the points "
+            "within it by quadrature")
     kp, lkp, km, lkm = _branch_terms(V, params)
     mu2 = 2.0 * params.mu
     if kind == "U":
@@ -217,28 +224,27 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     else:
         sides = (("plus", kp, 1j / lkp, 0.0, mu2),
                  ("minus", km, 1j / lkm, 0.0, -mu2))
-    below = np.searchsorted(s, xi, "left")   # atoms j < below: s_j < xi
-    above = np.searchsorted(s, xi, "right")  # atoms j >= above: s_j > xi
     out = np.zeros(xi.shape)
-    for (side, k, coef, const, scale), first in zip(sides, (below, above)):
-        rows = first > 0 if side == "plus" else first < len(s)
-        if rows.any():
-            idx = first[rows]
-            sums = _partial_sums(a[:, None] * np.exp(np.outer(s, -1j * k)),
-                                 side)
-            out[rows] += const * _partial_sums(a, side)[idx] + scale \
-                * _one_sided_sum(xi[rows], k, coef, sums[idx],
-                                 f"{kind} {side} branch")
-    on_atom = above > below
-    if on_atom.any():
-        p0, m0 = (const + scale * _one_sided_sum(
-            np.zeros(1), k, coef, None, f"{kind} {side} branch")[0]
-            for side, k, coef, const, scale in sides)
+    lag0 = []
+    for (side, k, coef, const, scale), rows in zip(sides, (ahead, behind)):
+        # each branch adds its atoms in sequence from its far end, the first
+        # atom on the plus branch and the last on the minus branch (cumsum,
+        # not np.sum's pairwise order): this order fixes u's last bits
+        step = 1 if side == "plus" else -1
+        P = np.cumsum(a[::step, None] * np.exp(np.outer(s[::step], -1j * k)),
+                      axis=0)[-1]
+        mass = np.cumsum(a[::step])[-1]
+        what = f"{kind} {side} branch"
+        out[rows] += const * mass + scale * _one_sided_sum(
+            xi[rows], k, coef, P, what)
+        if on.any():
+            lag0.append(const * mass + scale * _one_sided_sum(
+                s, k, coef, P, what)[0])
+    if lag0:
+        p0, m0 = lag0
         _truncation_check(V, p0, m0,
                           "U_profile" if kind == "U" else "kernel_q")
-        mass = _partial_sums(a, "plus")
-        out[on_atom] += (mass[above] - mass[below])[on_atom] \
-            * (0.5 * (p0 + m0))
+        out[on] += 0.5 * (p0 + m0)
     return out
 
 
@@ -284,7 +290,9 @@ def U_profile(xi, V: float, params: ModelParams):
 
 
 def kernel_q(xi, V: float, params: ModelParams):
-    """Residue form of the kernel q(xi) = -U'(xi); continuous at xi = 0."""
+    """Residue form of the kernel q(xi) = -U'(xi); continuous at xi = 0,
+    where it converges slowly and, undamped, its truncation check is blind
+    (see _truncation_check)."""
     return _shaped(xi, convolve(xi, UNIT_ATOM, V, params, "q"))
 
 

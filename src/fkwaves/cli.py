@@ -12,6 +12,7 @@ for the request, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -272,8 +273,35 @@ def _build_parser():
     return ap, sub.choices
 
 
-def _read_config(args: argparse.Namespace) -> dict:
-    """The --config file's options; each key must name an option of args."""
+# each option type: the JSON types of the config values it takes, and how
+# an error message names them
+CONFIG_TYPES = {bool: ((bool,), "true or false"),
+                float: ((str, int, float), "a number"),
+                int: ((str, int), "an integer"), str: ((str,), "a string")}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """The value of config key as its option takes it, or a UsageError that
+    names the key: a switch takes true or false, any other option what its
+    flag would accept, a JSON string as the flag's text or a number where
+    the option is numeric."""
+    convert = bool if action.nargs == 0 else action.type or str
+    types, want = CONFIG_TYPES[convert]
+    if type(value) in types:
+        with contextlib.suppress(ValueError, OverflowError):
+            taken = convert(value)
+            if action.choices is None or taken in action.choices:
+                return taken
+    if action.choices:
+        want = f"one of {', '.join(action.choices)}"
+    raise UsageError(f"config key {key} takes {want}, not "
+                     f"{json.dumps(value)}")
+
+
+def _read_config(args: argparse.Namespace,
+                 parser: argparse.ArgumentParser) -> dict:
+    """The --config file's options; each key must name an option of parser
+    and hold a value its flag would accept."""
     try:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -281,12 +309,14 @@ def _read_config(args: argparse.Namespace) -> dict:
         raise UsageError(f"cannot read config {args.config}: {exc}")
     if not isinstance(loaded, dict):
         raise UsageError("config must be a JSON object")
-    options = set(vars(args)) - {"command", "handler", "config"}
-    unknown = sorted(set(loaded) - options)
+    actions = {action.dest: action for action in parser._actions
+               if action.dest not in ("help", "config")}
+    unknown = sorted(set(loaded) - set(actions))
     if unknown:
         raise UsageError(
             f"unknown config keys for {args.command}: {', '.join(unknown)}")
-    return loaded
+    return {key: _config_value(actions[key], key, value)
+            for key, value in loaded.items()}
 
 
 def main(argv=None) -> int:
@@ -295,7 +325,8 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             # the file replaces defaults only, so flags still win
-            subparsers[args.command].set_defaults(**_read_config(args))
+            parser = subparsers[args.command]
+            parser.set_defaults(**_read_config(args, parser))
             args = ap.parse_args(argv)
         if args.command in OUT_REQUIRED and args.out is None:
             raise UsageError(f"{args.command} writes multiple files; "

@@ -283,6 +283,39 @@ class TestConfigAndErrors:
         assert main(["resonances", "--config", str(cfgf)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("resonances", {"mu": [1]}, "config key mu takes a number"),
+        ("resonances", {"mu": True}, "config key mu takes a number"),
+        ("resonances", {"count": 2.0}, "config key count takes an integer"),
+        ("kinetic", {"velocities": 0.2},
+         "config key velocities takes a string"),
+        ("threshold", {"dynamic": "no"},
+         "config key dynamic takes true or false"),
+        ("simulate", {"ic": "bogus"},
+         "config key ic takes one of riemann, wave"),
+        ("wave", {"velocity": None}, "config key velocity takes a number"),
+    ], ids=["list", "bool-for-number", "float-for-int", "number-for-text",
+            "text-for-switch", "bad-choice", "null"])
+    def test_config_value_of_wrong_type(self, command, config, message,
+                                        tmp_path, capsys):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfgf),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_config_value_as_flag_text(self, tmp_path, capsys):
+        # a string is read as the flag's text, an integer as a float
+        rows = []
+        for mu in ("2", 2):
+            cfgf = tmp_path / "cfg.json"
+            cfgf.write_text(json.dumps({"mu": mu, "count": 1}))
+            assert main(["resonances", "--config", str(cfgf)]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+        v = float(rows[0].strip().splitlines()[1].split(",")[0])
+        assert v == resonance_velocities(ModelParams(2.0, 0.0), count=1)[0][0]
+
     def test_missing_out(self):
         assert main(["wave", "--velocity", "0.5"]) == 2
 
@@ -296,6 +329,7 @@ class TestConfigAndErrors:
         ["simulate", "--sigma", "0.05", "--dt", "0"],
         ["simulate", "--sigma", "0.05", "--t-final", "3"],
         ["simulate", "--sigma", "nan"],
+        ["wave", "--velocity", "0.5", "--xi-min", "nan", "--n-samples", "3"],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path / "x")]) == 2

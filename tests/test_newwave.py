@@ -303,24 +303,21 @@ class TestKinetics:
 
 @st.composite
 def atoms_and_points(draw):
-    """Sorted atoms on [-1, 1] with masses, and points on, between and far
-    outside them."""
+    """Sorted atoms on [-1, 1] with masses, and points outside their support,
+    near it and far from it; a single atom is also read at its own
+    position."""
     n = draw(st.integers(1, 6))
     s = np.sort(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
                                max_size=n)))
-    on = [s[i] for i in draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                      max_size=3))]
-    edges = np.concatenate([[s[0] - 0.5], s, [s[-1] + 0.5]])
-    between = []
-    for i, t in draw(st.lists(st.tuples(st.integers(0, n),
-                                        st.floats(0.01, 0.99)),
-                              min_size=1, max_size=4)):
-        between.append(edges[i] + t * (edges[i + 1] - edges[i]))
+    on = [s[0]] if n == 1 else []
+    near = [s[-1] + d if sign > 0 else s[0] - d for sign, d in draw(st.lists(
+        st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.005, 0.5)),
+        min_size=1, max_size=4))]
     far = [sign * x for sign, x in draw(st.lists(
         st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(1.5, 1500.0)),
         min_size=1, max_size=3))]
-    return s, a, np.array(on + between + far)
+    return s, a, np.array(on + near + far)
 
 
 class TestConvolution:
@@ -364,6 +361,37 @@ class TestConvolution:
         for rows, route in ((near, "quad"), (~near, "residue")):
             assert np.array_equal(got[rows], convolve(
                 xi[rows], atoms, w.V, w.params, "q", route))
+
+    def test_residue_reads_only_outside_the_support(self, params):
+        # between or on the atoms of a measure of several atoms the residue
+        # route raises; read_wave takes those points by quadrature
+        atoms = (np.array([-0.2, 0.1, 0.2]), np.array([0.3, 0.5, 0.2]))
+        for x in (-0.2, 0.0, 0.1, 0.15, 0.2):
+            with pytest.raises(ValueError, match="read_wave"):
+                convolve(np.array([3.0, x]), atoms, 0.2, params)
+        xi = np.array([-0.2, 0.0, 0.15, 0.2])
+        for kind in ("U", "q"):
+            assert np.array_equal(
+                read_wave(xi, atoms, 0.2, params, kind),
+                convolve(xi, atoms, 0.2, params, kind, "quad"))
+
+    @pytest.mark.parametrize("method", ["residue", "quad"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, params, method, bad):
+        with pytest.raises(ValueError, match="finite points"):
+            convolve(np.array([2.0, bad]), UNIT_ATOM, 0.2, params,
+                     method=method)
+        with pytest.raises(ValueError, match="finite points"):
+            read_wave(np.array([bad]), UNIT_ATOM, 0.2, params, "q", method)
+
+    @pytest.mark.parametrize("method", ["residue", "quad"])
+    @pytest.mark.parametrize("atoms", [
+        (np.empty(0), np.empty(0)),
+        (np.array([0.0, 0.1]), np.ones(1)),
+    ], ids=["empty", "ragged"])
+    def test_rejects_empty_or_ragged_measure(self, params, method, atoms):
+        with pytest.raises(ValueError, match="at least one atom"):
+            convolve(np.array([2.0]), atoms, 0.2, params, method=method)
 
     def test_rejects_unsorted_atoms(self, params):
         with pytest.raises(ValueError):
