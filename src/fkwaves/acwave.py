@@ -21,7 +21,8 @@ atom at 0; a plateau wave is its shape's atoms. The residue route reads
 points outside the atoms' support only, and a single atom's own position:
 ahead of the last atom the plus series, behind the first the minus series,
 each through P(k) = sum_j a_j e^{-ik s_j} and the total mass, so a whole
-shape costs one product of xi against the roots per series. On the
+shape costs one product of xi against one root per mirror family per
+series. On the
 quadrature route every plateau computation reads the kernel only at small
 lags, where q and U are analytic between the integers; there convolve
 reads a piecewise-Chebyshev table of each, built once per velocity from the
@@ -45,6 +46,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .dispersion import (
+    _family_sizes,
     eval_L,
     eval_Lk,
     near_axis_roots,
@@ -52,7 +54,7 @@ from .dispersion import (
     root_set,
     DEFAULT_N_PAIRS,
 )
-from .errors import QuadratureFail, RootCountMismatch, TruncationWarning
+from .errors import QuadratureFail, TruncationWarning
 from .params import ModelParams
 from .quadrature import (
     GAUSS_ORDER,
@@ -63,8 +65,6 @@ from .quadrature import (
     tail_terms_needed,
 )
 
-# imaginary residue of analytically real sums beyond this means bad roots
-REALNESS_TOL = 1e-9
 # one-sided branch disagreement at xi = 0 beyond this means the residue
 # series of DEFAULT_N_PAIRS root pairs is too short
 TRUNCATION_TOL = 1e-4
@@ -109,14 +109,6 @@ TABLE_MAX_NODES = 128
 log = logging.getLogger(__name__)
 
 
-def _real_checked(values: np.ndarray, what: str):
-    bad = np.max(np.abs(values.imag)) if values.size else 0.0
-    if bad > REALNESS_TOL:
-        raise RootCountMismatch(
-            f"{what} has imaginary residue {bad:.2e}; root set is inconsistent")
-    return values.real
-
-
 def sigma_AC(V: float, params: ModelParams) -> float:
     """Kinetic relation Sigma(V) of the classical branch.
 
@@ -132,42 +124,60 @@ def sigma_AC(V: float, params: ModelParams) -> float:
         rs = real_roots(V, params)
         return 2.0 * params.mu * float(np.sum(
             1.0 / np.abs(rs * eval_Lk(rs, V, params).real)))
-    kp, lkp, km, lkm = _branch_terms(V, params)
-    sig = params.mu * (np.sum(1.0 / (kp * lkp)) - np.sum(1.0 / (km * lkm)))
-    return float(_real_checked(np.array([sig]), "sigma residue sum")[0])
+    (kp, wp, lkp), (km, wm, lkm) = _branch_terms(V, params)
+    return params.mu * float(wp @ (1.0 / (kp * lkp)).real
+                             - wm @ (1.0 / (km * lkm)).real)
 
 
 def _branch_terms(V: float, params: ModelParams):
-    """Residue data for the two one-sided representations."""
+    """(k, w, L_k(k)) of the plus and of the minus branch: one root k per
+    mirror family (k, -conj k), the one with Re k >= 0, and the family's
+    size w (_family_sizes: 2 off the imaginary axis, 1 on it, 2 for a
+    positive real root r, whose family is (r, -r)). L_k(-conj k) =
+    -conj L_k(k), so at real x the two members give conjugate terms in the
+    sums of U and of q alike, and a branch sums w Re(term) per family.
+    """
     roots = root_set(V, params)
-    kp = np.concatenate([roots.upper, roots.real_ahead.astype(complex),
-                         -roots.real_ahead.astype(complex)])
-    km = np.concatenate([roots.lower, roots.real_behind.astype(complex),
-                         -roots.real_behind.astype(complex)])
-    return kp, eval_Lk(kp, V, params), km, eval_Lk(km, V, params)
+    sides = []
+    for cx, real in ((roots.upper, roots.real_ahead),
+                     (roots.lower, roots.real_behind)):
+        k = np.concatenate([cx[cx.real >= 0.0], real])
+        sides.append((k, _family_sizes(k), eval_Lk(k, V, params)))
+    return sides
 
 
 def _truncation_check(V: float, plus0: float, minus0: float,
                       what: str) -> None:
     """Warn when the branches at an atom differ by over TRUNCATION_TOL.
 
-    Only U_profile(0) and kernel_q(0) reach it; read_wave never does.
-    Undamped the branches of q are conjugate, so kernel_q(0, V = 0.2) =
-    -0.60853 (q_integral: -0.62107) passes in silence; damped it fires.
+    Only U_profile(0) and kernel_q(0) reach it, and it names their caller;
+    read_wave never does. Undamped the branches of q are conjugate, so
+    kernel_q(0, V = 0.2) = -0.60853 (q_integral: -0.62107) passes in
+    silence; damped it fires.
     """
     if abs(plus0 - minus0) > TRUNCATION_TOL:
         warnings.warn(
             f"{what} branch mismatch {abs(plus0 - minus0):.2e} at xi=0: the "
             f"residue series of {DEFAULT_N_PAIRS} root pairs is too short "
-            f"at V={V}", TruncationWarning, stacklevel=3)
+            f"at V={V}", TruncationWarning, stacklevel=4)
 
 
-def _one_sided_sum(x, k, coef, P, what: str) -> np.ndarray:
-    """Re sum_k e^{ik x} P_k coef_k for each x."""
+def _one_sided_sum(x, k, coef) -> np.ndarray:
+    """Re sum_k e^{ik x} coef_k for each x."""
     E = np.outer(x, 1j * k)
     np.exp(E, out=E)
-    E *= P
-    return _real_checked(E @ coef, what)
+    return (E @ coef).real
+
+
+def _measure(atoms):
+    """(s, a) as float arrays: at least one atom, one mass each, s sorted."""
+    s, a = (np.asarray(v, float) for v in atoms)
+    if s.size == 0 or s.shape != a.shape:
+        raise ValueError("a measure needs at least one atom and one mass "
+                         "per position")
+    if np.any(np.diff(s) < 0.0):
+        raise ValueError("atom positions must be in ascending order")
+    return s, a
 
 
 def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
@@ -182,7 +192,8 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     The "residue" route reads points outside the support [s_0, s_-1]: a
     point ahead of the last atom takes the plus branch and one behind the
     first atom the minus branch, each through P(k) = sum_j a_j e^{-ik s_j}
-    and the total mass, so the work is one n_xi x n_roots product per
+    and the total mass. Each branch sums one root per mirror family
+    (_branch_terms), so the work is one n_xi x n_families product per
     branch. A single atom may also be read at its own position, the branch
     average at lag 0. Any other point raises ValueError; read_wave takes
     those by quadrature. The "quad" route has no one-sided form and sums
@@ -191,12 +202,7 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     """
     if kind not in ("U", "q"):
         raise ValueError(f"unknown convolution kind {kind!r}")
-    s, a = (np.asarray(v, float) for v in atoms)
-    if s.size == 0 or s.shape != a.shape:
-        raise ValueError("a measure needs at least one atom and one mass "
-                         "per position")
-    if np.any(np.diff(s) < 0.0):
-        raise ValueError("atom positions must be in ascending order")
+    s, a = _measure(atoms)
     xi = np.atleast_1d(np.asarray(xi, float))
     if not np.all(np.isfinite(xi)):
         raise ValueError("convolve reads only finite points")
@@ -215,36 +221,28 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
             f"the residue route reads {s.size} atoms only outside their "
             f"support [{s[0]:g}, {s[-1]:g}]; read_wave takes the points "
             "within it by quadrature")
-    kp, lkp, km, lkm = _branch_terms(V, params)
+    (kp, wp, lkp), (km, wm, lkm) = _branch_terms(V, params)
     mu2 = 2.0 * params.mu
     if kind == "U":
         sigma = sigma_AC(V, params)
-        sides = (("plus", kp, 1.0 / (kp * lkp), sigma - 1.0, -mu2),
-                 ("minus", km, 1.0 / (km * lkm), sigma + 1.0, mu2))
+        sides = ((kp, wp / (kp * lkp), sigma - 1.0, -mu2),
+                 (km, wm / (km * lkm), sigma + 1.0, mu2))
     else:
-        sides = (("plus", kp, 1j / lkp, 0.0, mu2),
-                 ("minus", km, 1j / lkm, 0.0, -mu2))
-    out = np.zeros(xi.shape)
+        sides = ((kp, 1j * wp / lkp, 0.0, mu2),
+                 (km, 1j * wm / lkm, 0.0, -mu2))
+    mass = np.sum(a)
+    out = np.empty(xi.shape)
     lag0 = []
-    for (side, k, coef, const, scale), rows in zip(sides, (ahead, behind)):
-        # each branch adds its atoms in sequence from its far end, the first
-        # atom on the plus branch and the last on the minus branch (cumsum,
-        # not np.sum's pairwise order): this order fixes u's last bits
-        step = 1 if side == "plus" else -1
-        P = np.cumsum(a[::step, None] * np.exp(np.outer(s[::step], -1j * k)),
-                      axis=0)[-1]
-        mass = np.cumsum(a[::step])[-1]
-        what = f"{kind} {side} branch"
-        out[rows] += const * mass + scale * _one_sided_sum(
-            xi[rows], k, coef, P, what)
+    for (k, coef, const, scale), rows in zip(sides, (ahead, behind)):
+        coef = coef * (a @ np.exp(np.outer(s, -1j * k)))
+        out[rows] = const * mass + scale * _one_sided_sum(xi[rows], k, coef)
         if on.any():
-            lag0.append(const * mass + scale * _one_sided_sum(
-                s, k, coef, P, what)[0])
+            lag0.append(const * mass + scale * _one_sided_sum(s, k, coef)[0])
     if lag0:
         p0, m0 = lag0
         _truncation_check(V, p0, m0,
                           "U_profile" if kind == "U" else "kernel_q")
-        out[on] += 0.5 * (p0 + m0)
+        out[on] = 0.5 * (p0 + m0)
     return out
 
 
@@ -263,8 +261,9 @@ def read_wave(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     """
     if method != "residue":
         return convolve(xi, atoms, V, params, kind, method)
+    s, _ = _measure(atoms)
     xi = np.atleast_1d(np.asarray(xi, float))
-    near = np.abs(xi) <= np.max(np.abs(atoms[0])) + NEAR_FIELD
+    near = np.abs(xi) <= np.max(np.abs(s)) + NEAR_FIELD
     out = np.empty(xi.shape)
     for route, rows in (("residue", ~near), ("quad", near)):
         if rows.any():

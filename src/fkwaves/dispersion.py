@@ -308,7 +308,7 @@ def _fold(ks: np.ndarray, params: ModelParams, sgn: float) -> np.ndarray:
 
 def _family_sizes(reps: np.ndarray) -> np.ndarray:
     """Roots each representative stands for: 2 off the imaginary axis (k
-    and its mirror -conj(k)), 1 on it."""
+    and its mirror -conj(k); a positive real root r and -r), 1 on it."""
     return np.where(reps.real > 0.0, 2, 1)
 
 

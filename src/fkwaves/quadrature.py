@@ -32,7 +32,6 @@ GAUSS_ORDER = 24
 PANEL_WIDTH = 1.5
 # K = KFAC * (largest possible real root); |1/L| <= 1/((KFAC^2-1) V^2 k^2) beyond
 KFAC = 10.0
-TAIL_TERMS = 5
 TAIL_TARGET = 1e-10
 
 
@@ -238,16 +237,16 @@ def tail_terms_needed(V: float, params: ModelParams, K: float) -> int:
 
     The |w| bound below 0.5 that convergence requires keeps it at 35 or
     fewer terms. At the kernels' K = KFAC sqrt(mu + 4) / V the bound is
-    1 / KFAC^2 + alpha / (KFAC sqrt(mu + 4)) at every V, so no velocity
-    helps: at mu = 1 every kernel fails once alpha >= 10.96.
+    1 / KFAC^2 + alpha / (KFAC sqrt(mu + 4)) at every V, so every kernel
+    takes 6 terms or more and no velocity helps: at mu = 1 every kernel
+    fails once alpha >= 10.96.
     """
     w_bound = (params.mu + 4.0) / (V**2 * K**2) + params.alpha / (V * K)
     if w_bound >= 0.5:
         raise QuadratureFail(
             f"tail series does not converge fast enough at V={V:g}, "
             f"alpha={params.alpha:g}: |w| bound {w_bound:.3f} >= 0.5")
-    need = int(np.ceil(np.log(TAIL_TARGET) / np.log(w_bound))) + 1
-    return max(TAIL_TERMS, need)
+    return int(np.ceil(np.log(TAIL_TARGET) / np.log(w_bound))) + 1
 
 
 def tail_integral(xis: np.ndarray, V: float, params: ModelParams, K: float,

@@ -41,7 +41,7 @@ from fkwaves.acwave import (
     quad_kernel,
     read_wave,
 )
-from fkwaves.dispersion import is_resonant, root_set
+from fkwaves.dispersion import eval_Lk, is_resonant, root_set
 from fkwaves.quadrature import KFAC, tail_terms_needed
 
 # frozen module outputs; guard against silent drift of either route
@@ -55,6 +55,8 @@ FD_H = 5e-4
 RESIDUAL_TOL = 2e-4
 
 DUAL_ROUTE_TOL = 1e-8
+# one root per mirror family against the sum over every root
+FAMILY_TOL = 1e-12
 DERIV_TOL = 1e-6
 
 # the kernel tables against the quadrature they interpolate
@@ -105,6 +107,74 @@ class TestSigmaAC:
         d3 = sigma_AC(0.5, ModelParams(1.0, 1e-3)) - base
         d4 = sigma_AC(0.5, ModelParams(1.0, 1e-4)) - base
         assert d3 == pytest.approx(10.0 * d4, rel=1e-3)
+
+
+def every_root_sums(xi, atoms, V, params):
+    """U, q and the damped sigma as residue sums over every root of
+    root_set: both members of each mirror family, and r with -r for each
+    real root. The sums are complex; their imaginary parts cancel."""
+    roots = root_set(V, params)
+    s, a = atoms
+    branches = []
+    for cx, real in ((roots.upper, roots.real_ahead),
+                     (roots.lower, roots.real_behind)):
+        k = np.concatenate([cx, real, -real])
+        lk = eval_Lk(k, V, params)
+        P = np.exp(-1j * np.outer(k, s)) @ a
+        branches.append((k, lk, P))
+    (kp, lkp, _), (km, lkm, _) = branches
+    sigma = params.mu * (np.sum(1.0 / (kp * lkp)) - np.sum(1.0 / (km * lkm)))
+    sig = sigma if params.alpha > 0.0 else sigma_AC(V, params)
+    mu2, mass = 2.0 * params.mu, np.sum(a)
+
+    def side(x, branch, sign):
+        k, lk, P = branch
+        E = np.exp(1j * np.outer(x, k)) * P
+        U = (sig - sign) * mass - sign * mu2 * (E @ (1.0 / (k * lk)))
+        return U, sign * mu2 * (E @ (1j / lk))
+
+    ahead, behind = xi > s[-1], xi < s[0]
+    U, q = np.zeros(xi.shape, complex), np.zeros(xi.shape, complex)
+    for rows, branch, sign in ((ahead, branches[0], 1.0),
+                               (behind, branches[1], -1.0)):
+        U[rows], q[rows] = side(xi[rows], branch, sign)
+    on = ~(ahead | behind)
+    if on.any():
+        (Up, qp), (Um, qm) = (side(s, b, g) for b, g in
+                              ((branches[0], 1.0), (branches[1], -1.0)))
+        U[on], q[on] = 0.5 * (Up + Um), 0.5 * (qp + qm)
+    return U, q, sigma
+
+
+class TestMirrorFamilies:
+    # the residue route sums each mirror family once, as w Re(term); the
+    # sum over every root it stands for must agree; small V leaves damped
+    # lag-0 reads short of converged, which TestTruncation covers
+    @pytest.mark.filterwarnings("ignore::fkwaves.TruncationWarning")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mu=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+           alpha=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+           V=st.floats(0.1, 1.2),
+           three=st.booleans(),
+           d=st.lists(st.floats(0.05, 60.0), min_size=1, max_size=6))
+    def test_matches_sum_over_every_root(self, mu, alpha, V, three, d):
+        p = ModelParams(mu, alpha)
+        assume(not is_resonant(V, p))
+        atoms = ((np.array([-0.4, 0.1, 0.5]), np.array([0.3, -0.2, 0.9]))
+                 if three else (np.zeros(1), np.ones(1)))
+        s = atoms[0]
+        d = np.array(d)
+        xi = np.concatenate([s[-1] + d, s[0] - d, [] if three else s])
+        U, q, sigma = every_root_sums(xi, atoms, V, p)
+        for kind, ref in (("U", U), ("q", q)):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(ref.imag)) <= FAMILY_TOL * scale, kind
+            got = convolve(xi, atoms, V, p, kind)
+            assert np.max(np.abs(got - ref.real)) <= FAMILY_TOL * scale, kind
+        if alpha > 0.0:
+            assert abs(sigma.imag) <= FAMILY_TOL * abs(sigma)
+            assert sigma_AC(V, p) == pytest.approx(sigma.real,
+                                                   rel=FAMILY_TOL)
 
 
 class TestProfileEquation:
@@ -360,6 +430,14 @@ class TestTruncation:
                             dispersion._complex_roots(V, p, 2))
         with pytest.warns(TruncationWarning):
             U_profile(np.array([0.0]), 0.2, params)
+
+    @pytest.mark.parametrize("f", [U_profile, kernel_q])
+    def test_warning_names_the_caller(self, f, monkeypatch):
+        monkeypatch.setattr(acwave, "root_set", lambda V, p:
+                            dispersion._complex_roots(V, p, 2))
+        with pytest.warns(TruncationWarning) as record:
+            f(0.0, 0.1023, ModelParams(1.0, 0.1))
+        assert [w.filename for w in record] == [__file__]
 
     def test_silent_at_default_length(self, params):
         with warnings.catch_warnings():

@@ -118,6 +118,17 @@ class TestFront:
         with pytest.raises(NoFront):
             front_position(np.full(10, -0.5))
 
+    def test_front_lost_mid_run(self, params, monkeypatch):
+        # a step that leaves every site below zero: the first record
+        # after it finds no front
+        def flatten(state, dt, n_steps=1):
+            state.u[:] = -0.5
+            return state
+
+        monkeypatch.setattr(chain, "step", flatten)
+        with pytest.raises(NoFront):
+            run_and_classify(init_riemann(100, params, 0.05), T=400.0)
+
 
 class TestClassification:
     def test_below_static_threshold_traps(self, params):

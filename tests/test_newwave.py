@@ -392,6 +392,8 @@ class TestConvolution:
     def test_rejects_empty_or_ragged_measure(self, params, method, atoms):
         with pytest.raises(ValueError, match="at least one atom"):
             convolve(np.array([2.0]), atoms, 0.2, params, method=method)
+        with pytest.raises(ValueError, match="at least one atom"):
+            read_wave(np.array([1.0]), atoms, 0.2, params, method=method)
 
     def test_rejects_unsorted_atoms(self, params):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from fkwaves import ModelParams
+from fkwaves import ModelParams, QuadratureFail, quadrature
 from fkwaves.dispersion import eval_L
 from fkwaves.quadrature import (
     KFAC,
@@ -132,6 +132,13 @@ class TestExpTails:
             assert_allclose(got, re + 1j * im + rem, rtol=1e-12)
         else:
             assert_allclose(got, re + 1j * im + rem, atol=1e-9)
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        # |a| K = 30 takes the continued fraction, which needs more than
+        # one step
+        monkeypatch.setattr(quadrature, "CF_MAX_ITER", 1)
+        with pytest.raises(QuadratureFail, match="continued fraction"):
+            exp_tail_integrals(2.5, 3, 12.0)
 
     def test_zero_frequency_closed_form(self):
         K = 9.0
