@@ -8,12 +8,13 @@ one per side. The applied stress sigma is then pinned to the kinetic value
 Sigma(V), and the wave is admissible when U keeps the sign pattern
 U > 0 behind the front and U < 0 ahead of it.
 
-Two independent evaluation routes are provided: residue sums over a truncated
-root set (U_profile, kernel_q) and contour quadrature with analytic tails
+Two independent routes evaluate U and q: residue sums over a truncated root
+set (U_profile, kernel_q) and contour quadrature with analytic tails
 (U_integral, q_integral), whose contour passes each root at the real axis
-by an arc on the side the radiation condition picks. They cross-validate
-each other; the plateau solver (newwave's build_Q, find_z, solve_shape and
-assemble_wave) reads only the quadrature route.
+by an arc on the side the radiation condition picks. Both take Sigma(V)
+from the quadrature, the constant that makes its U(0) = 0, and they
+cross-validate each other; the plateau solver (newwave's build_Q, find_z,
+solve_shape and assemble_wave) reads only the quadrature route.
 
 Both routes meet in one function, convolve, which sums U or q over a
 discrete measure of atoms (s_j, a_j). U_profile and kernel_q are the unit
@@ -38,19 +39,20 @@ and one sign test, admissible_signs, judges every wave.
 from __future__ import annotations
 
 import logging
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .dispersion import (
     _family_sizes,
+    check_velocity,
     eval_L,
     eval_Lk,
     near_axis_roots,
-    real_roots,
     root_set,
     DEFAULT_N_PAIRS,
 )
@@ -90,6 +92,9 @@ LADDER = ADMISSIBLE_TOL * 2.0 ** np.arange(
     int(np.ceil(np.log2(ADMISSIBLE_SPACING / ADMISSIBLE_TOL))))
 # quadrature self-check target at construction time
 QUAD_SELF_TOL = 1e-8
+# the kernel quadrature reads |xi| <= QUAD_REACH only: from |xi| ~ 22 on a
+# Gauss panel spans too many periods of e^{ik xi} to keep QUAD_SELF_TOL
+QUAD_REACH = 20.0
 # quadrature points per block of the one kernel integral; bounds its
 # (points x nodes) temporaries to a few MiB each
 ROW_BLOCK = 256
@@ -110,32 +115,17 @@ log = logging.getLogger(__name__)
 
 
 def sigma_AC(V: float, params: ModelParams) -> float:
-    """Kinetic relation Sigma(V) of the classical branch.
-
-    For alpha = 0 this is the phonon sum 2 mu sum_{r>0} 1/|r L_k(r)| over
-    positive real roots (both signs of each root contribute equally). For
-    alpha > 0 no real roots exist and sigma is fixed by continuity U(0) = 0,
-    which resolves to mu (S_plus - S_minus) with S_pm the residue sums
-    1/(k L_k) over the DEFAULT_N_PAIRS upper/lower half-plane roots of
-    root_set, read from the branch terms that convolve sums. The recipes
-    agree in the alpha -> 0 limit.
-    """
-    if params.alpha == 0.0:
-        rs = real_roots(V, params)
-        return 2.0 * params.mu * float(np.sum(
-            1.0 / np.abs(rs * eval_Lk(rs, V, params).real)))
-    (kp, wp, lkp), (km, wm, lkm) = _branch_terms(V, params)
-    return params.mu * float(wp @ (1.0 / (kp * lkp)).real
-                             - wm @ (1.0 / (km * lkm)).real)
+    """Kinetic relation Sigma(V) of the classical branch, KernelQuadrature's
+    sigma for every alpha. The phonon sum (alpha = 0) and the residue
+    continuity sum over N root pairs (converging as N^-3) test it."""
+    return quad_kernel(V, params).sigma
 
 
 def _branch_terms(V: float, params: ModelParams):
-    """(k, w, L_k(k)) of the plus and of the minus branch: one root k per
-    mirror family (k, -conj k), the one with Re k >= 0, and the family's
-    size w (_family_sizes: 2 off the imaginary axis, 1 on it, 2 for a
-    positive real root r, whose family is (r, -r)). L_k(-conj k) =
-    -conj L_k(k), so at real x the two members give conjugate terms in the
-    sums of U and of q alike, and a branch sums w Re(term) per family.
+    """(k, w, L_k(k)) of the plus and of the minus branch: the root k
+    with Re k >= 0 of each mirror family (k, -conj k) or (r, -r), and its
+    size w (_family_sizes). L_k(-conj k) = -conj L_k(k), so at real x the
+    members' terms are conjugate and a branch sums w Re(term) per family.
     """
     roots = root_set(V, params)
     sides = []
@@ -147,19 +137,22 @@ def _branch_terms(V: float, params: ModelParams):
 
 
 def _truncation_check(V: float, plus0: float, minus0: float,
-                      what: str) -> None:
+                      kind: str) -> None:
     """Warn when the branches at an atom differ by over TRUNCATION_TOL.
 
-    Only U_profile(0) and kernel_q(0) reach it, and it names their caller;
-    read_wave never does. Undamped the branches of q are conjugate, so
-    kernel_q(0, V = 0.2) = -0.60853 (q_integral: -0.62107) passes in
+    Only a lag-0 read reaches it, read_wave never, and it names the first
+    caller outside this module. Undamped the branches of q are conjugate,
+    so kernel_q(0, V = 0.2) = -0.60853 (q_integral: -0.62107) passes in
     silence; damped it fires.
     """
     if abs(plus0 - minus0) > TRUNCATION_TOL:
+        level, frame = 1, sys._getframe()
+        while frame.f_back and frame.f_globals["__name__"] == __name__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
-            f"{what} branch mismatch {abs(plus0 - minus0):.2e} at xi=0: the "
+            f"{kind} branch mismatch {abs(plus0 - minus0):.2e} at xi=0: the "
             f"residue series of {DEFAULT_N_PAIRS} root pairs is too short "
-            f"at V={V}", TruncationWarning, stacklevel=4)
+            f"at V={V}", TruncationWarning, stacklevel=level)
 
 
 def _one_sided_sum(x, k, coef) -> np.ndarray:
@@ -239,10 +232,8 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
         if on.any():
             lag0.append(const * mass + scale * _one_sided_sum(s, k, coef)[0])
     if lag0:
-        p0, m0 = lag0
-        _truncation_check(V, p0, m0,
-                          "U_profile" if kind == "U" else "kernel_q")
-        out[on] = 0.5 * (p0 + m0)
+        _truncation_check(V, *lag0, kind)
+        out[on] = 0.5 * sum(lag0)
     return out
 
 
@@ -279,12 +270,9 @@ def admissible_signs(u, x: np.ndarray) -> bool:
 
 
 def U_profile(xi, V: float, params: ModelParams):
-    """Two-branch residue form of the wave profile U(xi) at sigma = Sigma(V).
-
-    xi > 0 sums over upper-half roots and ahead-radiating phonons, xi < 0
-    over their lower/behind partners; at xi = 0 both branches analytically
-    give 0 and the average is returned (their mismatch measures truncation).
-    """
+    """Two-branch residue form of the wave profile U(xi) at sigma = Sigma(V):
+    upper-half roots and ahead phonons for xi > 0, their lower / behind
+    partners for xi < 0, and at 0 the branch average (see convolve)."""
     return _shaped(xi, convolve(xi, UNIT_ATOM, V, params, "U"))
 
 
@@ -322,26 +310,26 @@ class PlanProvenance:
 
 
 class KernelQuadrature:
-    """Contour quadrature evaluator for q(xi) and U(xi) at sigma = Sigma(V).
+    """Contour quadrature of q(xi), U(xi) and the kinetic stress sigma.
 
-    Both are parts of one contour integral of e^{ik xi} / (k^p L(k)) over
-    (0, inf): q the real part at p = 0, U the imaginary part at p = 1 plus
-    sigma_AC(V). The contour is the alpha -> 0+ limit of the damped one for
-    every alpha, so the radiation condition has one rule: every root at the
-    axis is passed by a semicircular arc on its far side. A small damping
-    moves a real root r by i alpha V r / L_k(r), so a phonon radiating
-    ahead (r L_k > 0) counts as above the axis and is passed below, one
-    radiating behind is passed above, and a damped root within POLE_BAND of
-    the axis is passed on the side away from its Im k. Panels are graded
-    under every complex root within REFINE_BAND of the axis. The plan
-    reads only those roots, so it comes from near_axis_roots: the roots of
-    the strip |Im k| < STRIP_HEIGHT, a little wider than REFINE_BAND,
-    checked by a winding count over the part of the strip where roots can
-    lie. The oscillatory tail is integrated analytically. Construction
-    checks the panel sums of q against a refined panel grid and raises
-    QuadratureFail if the two disagree beyond QUAD_SELF_TOL; provenance
-    records the plan's inputs and that check. table("q") and table("U")
-    are piecewise-Chebyshev tables of the two on small lags.
+    With I_p(xi) the contour integral of e^{ik xi} / (k^p L(k)) over
+    (0, inf) and c = 2 mu / pi: q = c Re I_0, U = sigma - c Im I_1, and
+    sigma = c Im I_1(0) = Sigma(V) makes U(0) = 0. The contour is the
+    alpha -> 0+ limit of the damped one for every alpha, so the radiation
+    condition has one rule: every root at the axis is passed by a
+    semicircular arc on its far side. A small damping moves a real root r
+    by i alpha V r / L_k(r), so a phonon radiating ahead (r L_k > 0) counts
+    as above the axis and is passed below, one radiating behind is passed
+    above, and a damped root within POLE_BAND of the axis is passed on the
+    side away from its Im k. Panels are graded under every complex root
+    within REFINE_BAND of the axis. The plan reads only those roots, so it
+    comes from near_axis_roots: the roots of the strip |Im k| <
+    STRIP_HEIGHT, a little wider than REFINE_BAND, checked by a winding
+    count over the part of the strip where roots can lie. The oscillatory
+    tail is integrated analytically. Construction checks the panel sums of
+    q against a refined panel grid and raises QuadratureFail if the two
+    disagree beyond QUAD_SELF_TOL; provenance records the plan's inputs and
+    that check. table("q") and table("U") tabulate the two on small lags.
     """
 
     # contour arcs engage for damped poles closer to the axis than this
@@ -351,8 +339,10 @@ class KernelQuadrature:
     ARC_RHO = 0.08
 
     def __init__(self, V: float, params: ModelParams):
+        check_velocity(V)
         self.V = V
         self.params = params
+        self._c = 2.0 * params.mu / np.pi
         K = KFAC * np.sqrt(params.mu + 4.0) / V
         # a tail that cannot converge fails before any other work
         tail_terms = tail_terms_needed(V, params, K)
@@ -365,7 +355,7 @@ class KernelQuadrature:
         # term on both sides: the check compares the panel sums only
         fine = self._integral(probe, 0, self._make_grid(K, 0.5, 8),
                               tail=False)
-        err = (2.0 * params.mu / np.pi) * float(np.max(np.abs(
+        err = self._c * float(np.max(np.abs(
             self._integral(probe, 0, tail=False) - fine)))
         if err > QUAD_SELF_TOL:
             raise QuadratureFail(
@@ -445,12 +435,16 @@ class KernelQuadrature:
                   tail: bool = True) -> np.ndarray:
         """Part p of the contour integral of e^{ik xi} / (k^p L(k)) dk.
 
-        The real part for p = 0 and the imaginary part for p = 1. The
-        first n nodes carry only that part, cos or sin(k xi) / (k^p L), in
-        real arithmetic; the others carry e^{ik xi} / (k^p L). Points go in
-        blocks of ROW_BLOCK. grid is a tuple from _make_grid, by default
-        the kernel's; tail=False leaves out the analytic tail beyond its K.
+        The real part for p = 0 and the imaginary part for p = 1, at |xi| <=
+        QUAD_REACH. The first n nodes carry only that part, cos or sin(k xi) /
+        (k^p L), in real arithmetic; the others e^{ik xi} / (k^p L). Points go
+        in blocks of ROW_BLOCK. grid is a tuple from _make_grid, by default the
+        kernel's; tail=False omits the analytic tail beyond its K.
         """
+        xi = np.atleast_1d(np.asarray(xi, float))
+        if not np.all(np.abs(xi) <= QUAD_REACH):
+            raise ValueError("the kernel quadrature reads lags only within "
+                             f"|xi| <= QUAD_REACH = {QUAD_REACH:g}")
         part = (np.real, np.imag)[p]
         k, c, n, K = grid or self._grid
         c = c / k**p
@@ -465,16 +459,18 @@ class KernelQuadrature:
                 (np.cos, np.sin)[p](np.outer(x, kr)) @ cr + part(z)
         return out
 
+    @cached_property
+    def sigma(self) -> float:
+        """Kinetic stress Sigma(V), on first use: threshold_V0 reads q only."""
+        return self._c * float(self._integral(0.0, 1)[0])
+
     def q(self, xi) -> np.ndarray:
         """Kernel q(xi)."""
-        xi = np.atleast_1d(np.asarray(xi, float))
-        return (2.0 * self.params.mu / np.pi) * self._integral(xi, 0)
+        return self._c * self._integral(xi, 0)
 
     def U(self, xi) -> np.ndarray:
         """Profile U(xi) at the kinetic stress sigma = Sigma(V)."""
-        xi = np.atleast_1d(np.asarray(xi, float))
-        return sigma_AC(self.V, self.params) \
-            - (2.0 * self.params.mu / np.pi) * self._integral(xi, 1)
+        return self.sigma - self._c * self._integral(xi, 1)
 
     def rounding(self, kind: str, reach: float) -> float:
         """Rounding floor of q (kind "q") or U (kind "U") on |xi| <= reach.
@@ -486,8 +482,7 @@ class KernelQuadrature:
         k, c, _, _ = self._grid
         p = ("q", "U").index(kind)
         size = np.abs(c / k**p) * (1.0 + np.abs(k) * reach)
-        return float(np.finfo(float).eps * (2.0 * self.params.mu / np.pi)
-                     * np.sum(size))
+        return float(np.finfo(float).eps * self._c * np.sum(size))
 
     def table(self, kind: str) -> KernelTable:
         """Piecewise-Chebyshev table of q (kind "q") or U (kind "U").
@@ -588,7 +583,7 @@ def quad_kernel(V: float, params: ModelParams) -> KernelQuadrature:
 def U_integral(xi, V: float, params: ModelParams):
     """Quadrature evaluation of U(xi) at sigma = Sigma(V) = sigma_AC(V).
 
-    Its integral is independent of the residue route: panels over [0, K]
+    Independent of the residue route, constant included: panels over [0, K]
     with an arc past each root at the axis on its alpha -> 0+ side, plus an
     analytic tail. Serves as the oracle for U_profile.
     """

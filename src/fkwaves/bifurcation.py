@@ -83,10 +83,9 @@ def kernel_jet(V: float, params: ModelParams,
 def _jet_identity(V: float, params: ModelParams) -> KernelJet:
     mu, alpha = params.mu, params.alpha
     qk = quad_kernel(V, params)
-    sigma = sigma_AC(V, params)
     q0 = _q0_of_V(V, params)
     U1, Um1 = qk.U(np.array([1.0, -1.0]))
-    q_plus = (alpha * V * q0 - (U1 + Um1) - mu * (sigma - 1.0)) / V**2
+    q_plus = (alpha * V * q0 - (U1 + Um1) - mu * (qk.sigma - 1.0)) / V**2
     q_minus = q_plus - 2.0 * mu / V**2
     q1, qm1 = qk.q(np.array([1.0, -1.0]))
     q2 = (alpha * V * 0.5 * (q_plus + q_minus)

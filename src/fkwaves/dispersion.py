@@ -56,6 +56,12 @@ STRIP_SEED_ROWS = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55)
 MIN_DAMPING = 1e-10
 
 
+def check_velocity(V: float) -> None:
+    """Run first by KernelQuadrature and _real_axis (both root searches)."""
+    if not 0.0 < V < np.inf:
+        raise ValueError(f"V must be positive and finite, got {V}")
+
+
 def eval_L(k, V: float, params: ModelParams):
     """Dispersion function L(k, V); accepts scalar or array, real or complex k."""
     k = np.asarray(k)
@@ -123,8 +129,7 @@ def _real_axis(V: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
     point of L; L is monotone between consecutive critical points, and
     L < 0 beyond kmax = sqrt(mu + 4) / V. Both arrays are read-only.
     """
-    if V <= 0.0:
-        raise ValueError("V must be positive")
+    check_velocity(V)
     kmax = np.sqrt(mu + 4.0) / V
     crit = _critical_points(V, mu, 0.0, kmax)
     p = ModelParams(mu, 0.0)
@@ -456,7 +461,7 @@ def root_set(V: float, params: ModelParams) -> RootSet:
     """Memoized real and complex roots at velocity V.
 
     Each half plane holds DEFAULT_N_PAIRS complex roots, the length of the
-    residue series (sigma_AC, convolve), or one more where the cut would
+    residue series (convolve), or one more where the cut would
     split a mirror pair (k, -conj k). Its seeds are the strip's, the
     imaginary axis and the asymptotic predictors (_band_attempt). A
     mismatch re-seeds densely once, and a second one raises

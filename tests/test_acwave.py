@@ -21,6 +21,7 @@ from fkwaves import (
     ac_admissible,
     find_z,
     kernel_q,
+    kinetic_wave,
     q_integral,
     sigma_AC,
     threshold_V0,
@@ -30,6 +31,7 @@ from fkwaves.acwave import (
     ADMISSIBLE_SPACING,
     ADMISSIBLE_TOL,
     LADDER,
+    QUAD_REACH,
     QUAD_SELF_TOL,
     SIGN_GRID,
     TABLE_REACH,
@@ -41,7 +43,7 @@ from fkwaves.acwave import (
     quad_kernel,
     read_wave,
 )
-from fkwaves.dispersion import eval_Lk, is_resonant, root_set
+from fkwaves.dispersion import eval_Lk, is_resonant, real_roots, root_set
 from fkwaves.quadrature import KFAC, tail_terms_needed
 
 # frozen module outputs; guard against silent drift of either route
@@ -57,6 +59,11 @@ RESIDUAL_TOL = 2e-4
 DUAL_ROUTE_TOL = 1e-8
 # one root per mirror family against the sum over every root
 FAMILY_TOL = 1e-12
+# undamped sigma_AC against the phonon sum
+PHONON_REL_TOL = 1e-14
+# threshold_V0 at mu = 1 by damping
+V0_DAMPED = {0.1: 0.3561111708818856, 0.5: 0.3487542621159957,
+             1.0: 0.329481635659428, 1.5: 0.2920784643140889}
 DERIV_TOL = 1e-6
 
 # the kernel tables against the quadrature they interpolate
@@ -108,11 +115,42 @@ class TestSigmaAC:
         d4 = sigma_AC(0.5, ModelParams(1.0, 1e-4)) - base
         assert d3 == pytest.approx(10.0 * d4, rel=1e-3)
 
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 4.0])
+    def test_undamped_is_the_phonon_sum(self, mu):
+        # the radiated energy of the classical kink, 2 mu sum 1/|r L_k(r)|
+        # over the positive real roots. Near the resonance clusters of small
+        # V, L_k(r) is small and the roots' rounding enters the sum itself:
+        # at mu 4, V 0.0638 it is 1.1e-14 off a 40-digit sum and sigma_AC
+        # 2.8e-15, so the reference is read from V = 0.15 up
+        p = ModelParams(mu, 0.0)
+        for V in np.linspace(0.15, 1.2, 15):
+            r = real_roots(V, p)
+            ref = 2.0 * mu * np.sum(1.0 / np.abs(r * eval_Lk(r, V, p)))
+            assert sigma_AC(V, p) == pytest.approx(ref, rel=PHONON_REL_TOL)
+
+    @pytest.mark.parametrize("alpha,V", [(1.0, 0.15), (0.5, 0.15),
+                                         (1.5, 0.3)])
+    def test_damped_residue_sum_converges_to_it(self, alpha, V):
+        # the continuity sum mu (S_plus - S_minus), S_pm = sum 1/(k L_k)
+        # over the upper / lower roots, falls short of sigma_AC by a
+        # truncation of order N^-3 in the N root pairs it keeps: -3.04e-8
+        # at N = 400 and -3.87e-9 at 800 for alpha 1, V 0.15
+        p = ModelParams(1.0, alpha)
+        err = []
+        for n in (400, 800):
+            roots = dispersion._complex_roots(V, p, n)
+            s = [np.sum(1.0 / (k * eval_Lk(k, V, p)))
+                 for k in (roots.upper, roots.lower)]
+            err.append(p.mu * (s[0] - s[1]).real - sigma_AC(V, p))
+        assert abs(err[1]) <= 1e-8
+        assert 7.0 <= err[0] / err[1] <= 9.0
+
 
 def every_root_sums(xi, atoms, V, params):
-    """U, q and the damped sigma as residue sums over every root of
-    root_set: both members of each mirror family, and r with -r for each
-    real root. The sums are complex; their imaginary parts cancel."""
+    """U and q as residue sums over every root of root_set: both members
+    of each mirror family, and r with -r for each real root, with U's
+    constant from sigma_AC. The sums are complex; their imaginary parts
+    cancel."""
     roots = root_set(V, params)
     s, a = atoms
     branches = []
@@ -122,9 +160,7 @@ def every_root_sums(xi, atoms, V, params):
         lk = eval_Lk(k, V, params)
         P = np.exp(-1j * np.outer(k, s)) @ a
         branches.append((k, lk, P))
-    (kp, lkp, _), (km, lkm, _) = branches
-    sigma = params.mu * (np.sum(1.0 / (kp * lkp)) - np.sum(1.0 / (km * lkm)))
-    sig = sigma if params.alpha > 0.0 else sigma_AC(V, params)
+    sig = sigma_AC(V, params)
     mu2, mass = 2.0 * params.mu, np.sum(a)
 
     def side(x, branch, sign):
@@ -143,7 +179,7 @@ def every_root_sums(xi, atoms, V, params):
         (Up, qp), (Um, qm) = (side(s, b, g) for b, g in
                               ((branches[0], 1.0), (branches[1], -1.0)))
         U[on], q[on] = 0.5 * (Up + Um), 0.5 * (qp + qm)
-    return U, q, sigma
+    return U, q
 
 
 class TestMirrorFamilies:
@@ -165,16 +201,12 @@ class TestMirrorFamilies:
         s = atoms[0]
         d = np.array(d)
         xi = np.concatenate([s[-1] + d, s[0] - d, [] if three else s])
-        U, q, sigma = every_root_sums(xi, atoms, V, p)
+        U, q = every_root_sums(xi, atoms, V, p)
         for kind, ref in (("U", U), ("q", q)):
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(ref.imag)) <= FAMILY_TOL * scale, kind
             got = convolve(xi, atoms, V, p, kind)
             assert np.max(np.abs(got - ref.real)) <= FAMILY_TOL * scale, kind
-        if alpha > 0.0:
-            assert abs(sigma.imag) <= FAMILY_TOL * abs(sigma)
-            assert sigma_AC(V, p) == pytest.approx(sigma.real,
-                                                   rel=FAMILY_TOL)
 
 
 class TestProfileEquation:
@@ -218,13 +250,12 @@ class TestDualRoute:
         assert U_integral(0.0, 0.5, params) == pytest.approx(0.0, abs=1e-12)
         assert U_integral(0.0, 0.2, params) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5])
     @pytest.mark.parametrize("V", [0.15, 0.3, 0.8])
     def test_damped_branch_average_at_zero(self, V, alpha):
-        # damped, U takes its constant from sigma_AC's residue sum over
-        # DEFAULT_N_PAIRS pairs, so U(0) is that sum's truncation, which
-        # falls like N^-3; the quadrature's own constant does not have it
-        assert abs(U_integral(0.0, V, ModelParams(1.0, alpha))) <= 1e-7
+        # sigma_AC is the quadrature's own continuity constant, so U(0)
+        # vanishes up to rounding at every damping; no root set enters
+        assert abs(U_integral(0.0, V, ModelParams(1.0, alpha))) <= 1e-12
 
     @pytest.mark.parametrize(
         "f", [U_profile, kernel_q, U_integral, q_integral],
@@ -321,6 +352,56 @@ class TestKernelPlan:
         assert quad_kernel.cache_info().misses > 60
         assert calls == []
 
+    def test_profile_reads_no_root_set(self, monkeypatch):
+        # U's constant is the kernel's own integral at 0, not a residue sum
+        calls = []
+        for module, name in ((dispersion, "root_set"), (acwave, "root_set"),
+                             (acwave, "sigma_AC")):
+            full = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=full:
+                                calls.append(a) or f(*a))
+        qk = KernelQuadrature(0.25, ModelParams(1.0, 0.1))
+        u = qk.U(np.array([-2.5, 0.0, 0.4, 7.0]))
+        qk.table("U")(np.array([0.0, 1.5]))
+        assert abs(u[1]) <= 1e-12 and qk.sigma > 0.0
+        assert calls == []
+
+
+class TestQuadReach:
+    # past the reach a Gauss panel spans too many periods of e^{ik xi}
+    # and the sums grow without bound (-1.4e49 at mu 1, V 0.2, xi 1500)
+    @pytest.mark.parametrize("mu,alpha,V", [
+        (1.0, 0.0, 0.2), (1.0, 0.0, 0.1023), (1.0, 1.0, 0.2757),
+        (4.0, 0.1, 0.1023), (4.0, 1.0, 0.7061), (0.5, 0.5, 0.9)])
+    def test_accurate_up_to_the_reach(self, mu, alpha, V):
+        # far from the atom the residue sums are exact to rounding
+        p = ModelParams(mu, alpha)
+        qk = KernelQuadrature(V, p)
+        xi = np.array([-QUAD_REACH, -QUAD_REACH + 0.37, QUAD_REACH - 0.37,
+                       QUAD_REACH])
+        assert np.abs(qk.q(xi) - kernel_q(xi, V, p)).max() <= QUAD_SELF_TOL
+        assert np.abs(qk.U(xi) - U_profile(xi, V, p)).max() <= QUAD_SELF_TOL
+
+    @pytest.mark.parametrize("read", [
+        lambda x, V, p: U_integral(x, V, p),
+        lambda x, V, p: q_integral(x, V, p),
+        lambda x, V, p: quad_kernel(V, p).q(np.array([0.0, x])),
+        lambda x, V, p: convolve(np.array([x]), UNIT_ATOM, V, p, "U", "quad"),
+        lambda x, V, p: read_wave(np.array([x]), UNIT_ATOM, V, p, "q",
+                                  "quad"),
+        lambda x, V, p: kinetic_wave(V, p).evaluate(x, method="quad"),
+    ], ids=["U_integral", "q_integral", "q", "convolve", "read_wave",
+            "evaluate"])
+    @pytest.mark.parametrize("x", [-QUAD_REACH - 1e-9, 1500.0])
+    def test_beyond_the_reach_raises(self, read, x, params):
+        with pytest.raises(ValueError, match=f"QUAD_REACH = {QUAD_REACH:g}"):
+            read(x, 0.5, params)
+
+    @pytest.mark.parametrize("kind", ["q", "U"])
+    def test_nan_lag_raises(self, kind, params):
+        with pytest.raises(ValueError, match=f"QUAD_REACH = {QUAD_REACH:g}"):
+            getattr(quad_kernel(0.5, params), kind)(np.array([0.0, np.nan]))
+
 
 class TestKernelTable:
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -410,6 +491,20 @@ class TestAdmissibility:
         assert np.array_equal(LADDER, ADMISSIBLE_TOL * 2.0 ** np.arange(16))
         assert LADDER[-1] < ADMISSIBLE_SPACING <= 2.0 * LADDER[-1]
 
+    @pytest.mark.parametrize("alpha", sorted(V0_DAMPED))
+    def test_admissible_just_above_threshold(self, alpha):
+        # U(0) = 0, so u at -LADDER[0] is about q(0) LADDER[0], positive
+        # once q(0) > 0 above V0: the sign pattern holds right above it
+        assert ac_admissible(V0_DAMPED[alpha] + 1e-3, ModelParams(1.0, alpha))
+
+    def test_kinetic_wave_takes_the_kink_above_threshold(self):
+        # V0 = 0.32948 at alpha 1: 2e-4 above it the classical kink is
+        # admissible and no plateau is needed
+        p = ModelParams(1.0, 1.0)
+        wave = kinetic_wave(0.3297, p)
+        assert wave.branch == "ac" and wave.admissible
+        assert wave.sigma == sigma_AC(0.3297, p)
+
     def test_only_the_ladder_sees_the_bump(self, params):
         # just below V0 = 0.35701 the violation hugs the front
         V = 0.3568
@@ -431,15 +526,38 @@ class TestTruncation:
         with pytest.warns(TruncationWarning):
             U_profile(np.array([0.0]), 0.2, params)
 
-    @pytest.mark.parametrize("f", [U_profile, kernel_q])
-    def test_warning_names_the_caller(self, f, monkeypatch):
+    @pytest.mark.parametrize("read", [
+        U_profile, kernel_q,
+        lambda x, V, p: convolve(np.array([x]), UNIT_ATOM, V, p, "U"),
+        lambda x, V, p: convolve(np.array([x]), UNIT_ATOM, V, p, "q")],
+        ids=["U_profile", "kernel_q", "convolve_U", "convolve_q"])
+    def test_warning_names_the_caller(self, read, monkeypatch):
         monkeypatch.setattr(acwave, "root_set", lambda V, p:
                             dispersion._complex_roots(V, p, 2))
         with pytest.warns(TruncationWarning) as record:
-            f(0.0, 0.1023, ModelParams(1.0, 0.1))
+            read(0.0, 0.1023, ModelParams(1.0, 0.1))
         assert [w.filename for w in record] == [__file__]
 
     def test_silent_at_default_length(self, params):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             U_profile(np.array([0.0, 1.0]), 0.2, params)
+
+
+class TestVelocityCheck:
+    # NaN passes a V <= 0 test and inf a V > 0 one; every entry point
+    # names the velocity before any root search or kernel build
+    @pytest.mark.parametrize("f,alpha", [
+        (dispersion.root_set, 0.0), (dispersion.root_set, 0.1),
+        (dispersion.near_axis_roots, 0.1), (real_roots, 0.0),
+        (KernelQuadrature, 0.0), (KernelQuadrature, 0.1), (sigma_AC, 0.1),
+        (kinetic_wave, 0.0), (kinetic_wave, 0.1),
+        (lambda V, p: U_profile(1.0, V, p), 0.1)],
+        ids=["root_set", "root_set_damped", "near_axis_roots", "real_roots",
+             "KernelQuadrature", "KernelQuadrature_damped", "sigma_AC",
+             "kinetic_wave", "kinetic_wave_damped", "U_profile"])
+    @pytest.mark.parametrize("V", [np.nan, np.inf, 0.0, -0.2])
+    def test_names_the_velocity(self, f, alpha, V):
+        with pytest.raises(ValueError,
+                           match="V must be positive and finite"):
+            f(V, ModelParams(1.0, alpha))

@@ -335,6 +335,17 @@ class TestConfigAndErrors:
         assert main(args + ["--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("alpha", ["0", "0.1"])
+    @pytest.mark.parametrize("velocity", ["nan", "inf", "0", "-0.2"])
+    @pytest.mark.parametrize("command", ["wave", "shape"])
+    def test_velocity_must_be_positive_and_finite(self, command, velocity,
+                                                  alpha, tmp_path, capsys):
+        rc = main([command, f"--velocity={velocity}", "--alpha", alpha,
+                   "--out", str(tmp_path / "v")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: V must be positive and finite, got {float(velocity)}\n"
+
     def test_tiny_damping_is_usage_error(self, tmp_path, capsys):
         rc = main(["wave", "--velocity", "0.3", "--alpha", "1e-12",
                    "--out", str(tmp_path / "tiny")])
