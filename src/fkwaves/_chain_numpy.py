@@ -7,8 +7,14 @@ three passes per step: kick-drift, force, closing half-kick. The C core fuses
 each closing half-kick with the next step's kick-drift into one pass over
 the sites; every element still takes v = (v + hdt F) f2, then
 v = f1 v + hdt F and u = u + dt v, in this order, so nothing is rounded
-differently. Keep the two in step: tests/test_backends.py checks the identity
-of run_chain and front_scan on random and hand-built states.
+differently. On a chain of more than the core's TILE interior sites it also
+takes those fused steps in blocks of up to DEPTH, one TILE-site tile at a
+time, each stepped in a buffer with ghost sites on either side; a ghost
+recomputes its neighbour's operations exactly, so the tiled path is
+bit-identical as well, and shorter chains keep the plain loop. Keep the
+two in step: tests/test_backends.py checks the identity of run_chain and
+front_scan on random and hand-built states, on both sides of the core's
+tile and block edges.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ depinning threshold.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +184,16 @@ def run_and_classify(state: ChainState, T: float,
     enough record accumulated to fit a velocity (MIN_FIT_TIME); with a long
     enough record the truncated trajectory is classified normally, since a
     front that marches off the end is the Steady outcome showing itself.
-    Raises ValueError unless dt > 0 and T spans at least four records, so
-    that the trailing quarter holds two.
+    Raises ValueError unless dt > 0, a record's RECORD_DT / dt steps fit
+    run_chain's step count, and T spans at least four records, so that the
+    trailing quarter holds two.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not RECORD_DT / dt < sys.maxsize:
+        raise ValueError(f"dt = {dt} is too small: a front record of "
+                         f"{RECORD_DT:g} would take more than {sys.maxsize} "
+                         "steps")
     sub = max(1, int(round(RECORD_DT / dt)))
     records = T / (sub * dt)
     if not 4.0 <= records < np.inf:

@@ -1,5 +1,6 @@
 """Backend selection and cross-backend trajectory identity."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -19,6 +20,10 @@ except ImportError:
 
 needs_core = pytest.mark.skipif(_chain_core is None,
                                 reason="extension not built")
+# the compiled core's tile width and steps per tile visit; a chain of more
+# than TILE interior sites takes its tiled path
+TILE, DEPTH = ((_chain_core.TILE, _chain_core.DEPTH) if _chain_core
+               else (1024, 32))
 BACKENDS = [pytest.param(_chain_numpy, id="numpy"),
             pytest.param(_chain_core, id="c", marks=needs_core)]
 
@@ -49,10 +54,27 @@ def _two_phase(n, seed):
     return u, v
 
 
+def _non_finite_at_tile_edge(n, seed):
+    """_two_phase with NaN, +-inf and +-0.0 on the last site of the first
+    tile and the first of the second, and DEPTH sites either side of them,
+    where a tile's ghosts end; sites past the chain's interior are left."""
+    u, v = _two_phase(n, seed)
+    edge = 1 + TILE
+    sites = [edge - 1 - DEPTH, edge - DEPTH, edge - 1, edge,
+             edge - 1 + DEPTH, edge + DEPTH]
+    for site, u_value, v_value in zip(
+            sites, [np.nan, np.inf, -0.0, 0.0, -np.inf, -0.0],
+            [-0.0, np.inf, 0.0, np.nan, -np.inf, np.nan]):
+        if site < n - 1:
+            u[site], v[site] = u_value, v_value
+    return u, v
+
+
 @st.composite
 def chain_runs(draw):
-    """A noisy two-phase state with sites at exactly +0.0 and -0.0."""
-    n = draw(st.integers(3, 400))
+    """A noisy two-phase state with sites at exactly +0.0 and -0.0; about
+    half the chains are long enough for the compiled core's tiled path."""
+    n = draw(st.integers(3, 400) | st.integers(TILE, 2 * TILE + 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = np.where(np.arange(n) < n // 2, 1.0, -1.0)
     u += draw(st.floats(0.0, 0.5)) * rng.standard_normal(n)
@@ -128,19 +150,35 @@ class TestBitIdentity:
     # 3..19 sites give every remainder of an 8-lane loop over the n - 2
     # interior sites, and the short chains that skip the vector loop;
     # 1001 and 3001 are the depinning sweep's and the wave run's chains.
-    # 0..3 steps reach the fused loop's first and last steps, or skip it
+    # TILE + 1 and TILE + 2 sites still fit one tile, TILE + 3 leaves a
+    # second tile of one site, 2 TILE + 2 fills two tiles and 2 TILE + 3
+    # adds a third of one site. 0..3 steps reach the fused loop's first and
+    # last steps, or skip it; the tiled path splits the n_steps - 1 fused
+    # steps into blocks of at most DEPTH, and run_and_classify takes 100
+    # steps per record. A tiled chain also runs from non-finite values and
+    # signed zeros where its tiles' ghosts begin and end.
     @needs_core
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
-    @pytest.mark.parametrize("n", [*range(3, 20), 1001, 3001])
+    @pytest.mark.parametrize("n", [*range(3, 20), 1001, 3001, TILE + 1,
+                                   TILE + 2, TILE + 3, 2 * TILE + 2,
+                                   2 * TILE + 3])
     def test_every_vector_remainder_bit_identical(self, n, alpha):
-        u0, v0 = _two_phase(n, seed=n)
-        for n_steps in (0, 1, 2, 3, 300):
+        states = [_two_phase(n, seed=n)]
+        if n - 2 > TILE:
+            states.append(_non_finite_at_tile_edge(n, seed=n))
+        steps = (0, 1, 2, 3, DEPTH - 1, DEPTH, DEPTH + 1, 2 * DEPTH + 1,
+                 100, 300)
+        for (u0, v0), n_steps in itertools.product(states, steps):
             u_a, v_a, u_b, v_b = u0.copy(), v0.copy(), u0.copy(), v0.copy()
             args = (1.0, 0.1, alpha, 0.05, n_steps)
-            _chain_numpy.run_chain(u_a, v_a, *args)
+            with np.errstate(invalid="ignore", over="ignore"):
+                _chain_numpy.run_chain(u_a, v_a, *args)
             _chain_core.run_chain(u_b, v_b, *args)
             assert np.array_equal(_bits(u_a), _bits(u_b)), n_steps
             assert np.array_equal(_bits(v_a), _bits(v_b)), n_steps
+            ends = [0, -1]
+            assert np.array_equal(_bits(u_b[ends]), _bits(u0[ends]))
+            assert np.array_equal(_bits(v_b[ends]), _bits(v0[ends]))
             if n_steps == 0:
                 assert np.array_equal(_bits(u_b), _bits(u0))
                 assert np.array_equal(_bits(v_b), _bits(v0))

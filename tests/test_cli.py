@@ -327,6 +327,7 @@ class TestConfigAndErrors:
         ["threshold", "--alpha", "nan"],
         ["bifurcation", "--velocities", "0.34", "--m", "2"],
         ["simulate", "--sigma", "0.05", "--dt", "0"],
+        ["simulate", "--ic", "riemann", "--sigma", "0.14", "--dt", "1e-300"],
         ["simulate", "--sigma", "0.05", "--t-final", "3"],
         ["simulate", "--sigma", "nan"],
         ["wave", "--velocity", "0.5", "--xi-min", "nan", "--n-samples", "3"],
