@@ -21,13 +21,17 @@ discrete measure of atoms (s_j, a_j). U_profile and kernel_q are the unit
 atom at 0; a plateau wave is its shape's atoms. The residue route reads
 points outside the atoms' support only, and a single atom's own position:
 ahead of the last atom the plus series, behind the first the minus series,
-each through P(k) = sum_j a_j e^{-ik s_j} and the total mass, so a whole
-shape costs one product of xi against one root per mirror family per
-series. On the
-quadrature route every plateau computation reads the kernel only at small
-lags, where q and U are analytic between the integers; there convolve
-reads a piecewise-Chebyshev table of each, built once per velocity from the
-quadrature's own values.
+each through P(k) = sum_j a_j e^{-ik s_j} and the total mass. A point
+costs the families that reach it: each series is sorted by |Im k|, and a
+point sums the shortest prefix whose dropped terms sum to at most
+RESIDUE_CUT = 2^-60 of its largest kept term (_branch_sum), so far from the
+atoms only the real and near-axis roots remain. On the quadrature route
+every plateau computation reads the kernel only at small lags, where q and
+U are analytic between the integers; there convolve reads a
+piecewise-Chebyshev table of each, built once per velocity from the
+quadrature's own values. Past the tables the measure is folded into the
+panel sum through the same P(k) on the panel nodes, so n_x points against
+n_s atoms cost n_nodes (n_x + n_s) exponentials, not n_x n_s n_nodes.
 
 A wave is read by one near-field rule, read_wave: the points within
 NEAR_FIELD of its atoms' support take the quadrature route, where the
@@ -73,6 +77,9 @@ TRUNCATION_TOL = 1e-4
 # read_wave takes the points within this distance of the atoms' support
 # by quadrature: at small lags the residue series converge slowly
 NEAR_FIELD = 0.5
+# the residue route drops, at each point, the families whose terms there sum
+# to at most this fraction of its largest kept term (_branch_sum)
+RESIDUE_CUT = 2.0 ** -60
 # admissibility sampling: the sign checks of classical and plateau waves
 # read u at these distances beyond the front or the plateau edge
 ADMISSIBLE_RANGE = 40.0
@@ -95,8 +102,9 @@ QUAD_SELF_TOL = 1e-8
 # the kernel quadrature reads |xi| <= QUAD_REACH only: from |xi| ~ 22 on a
 # Gauss panel spans too many periods of e^{ik xi} to keep QUAD_SELF_TOL
 QUAD_REACH = 20.0
-# quadrature points per block of the one kernel integral; bounds its
-# (points x nodes) temporaries to a few MiB each
+# quadrature points, or lags of a measure's points, per block of the one
+# kernel integral; bounds its (points x nodes) temporaries and those of the
+# analytic tail to a few MiB each
 ROW_BLOCK = 256
 # the kernel tables cover lags in [-TABLE_REACH, TABLE_REACH], one
 # Chebyshev piece per unit interval between integers
@@ -126,12 +134,15 @@ def _branch_terms(V: float, params: ModelParams):
     with Re k >= 0 of each mirror family (k, -conj k) or (r, -r), and its
     size w (_family_sizes). L_k(-conj k) = -conj L_k(k), so at real x the
     members' terms are conjugate and a branch sums w Re(term) per family.
+    Each branch is sorted by |Im k|, the rate at which its terms decay
+    (_branch_sum).
     """
     roots = root_set(V, params)
     sides = []
     for cx, real in ((roots.upper, roots.real_ahead),
                      (roots.lower, roots.real_behind)):
         k = np.concatenate([cx[cx.real >= 0.0], real])
+        k = k[np.argsort(np.abs(k.imag), kind="stable")]
         sides.append((k, _family_sizes(k), eval_Lk(k, V, params)))
     return sides
 
@@ -162,6 +173,54 @@ def _one_sided_sum(x, k, coef) -> np.ndarray:
     return (E @ coef).real
 
 
+def _cut_depths(k, coef):
+    """Prefix lengths n (the powers of two below a branch's N families,
+    then N) and the depths t_n beyond which the first n families, sorted by
+    b = |Im k|, leave out at most RESIDUE_CUT of their largest term.
+
+    At depth t a family's term has size |coef_k| e^{-b t}, so the families
+    from n on sum to at most S_n e^{-b_n t}, S_n their sum of |coef|. That
+    is at most RESIDUE_CUT of a kept term i < n once (b_n - b_i) t >=
+    log(S_n / (RESIDUE_CUT |coef_i|)), and t_n is the least such t; t_N is
+    -inf. Both sides move towards the cut as n grows, so t_n does not
+    increase. A zero coefficient counts as the smallest normal float.
+    """
+    b = np.abs(k.imag)
+    size = np.maximum(np.abs(coef), np.finfo(float).tiny)
+    n = 1 << np.arange(max(k.size - 1, 0).bit_length())
+    rest = np.cumsum(size[::-1])[::-1][n]
+    need = np.log(rest / RESIDUE_CUT)[:, None] - np.log(size)
+    gap = b[n, None] - b
+    rise = gap > 0.0
+    t = np.where(rise, need / np.where(rise, gap, 1.0),
+                 np.where(need <= 0.0, -np.inf, np.inf))
+    t[np.arange(k.size) >= n[:, None]] = np.inf
+    t = np.minimum.accumulate(t.min(axis=1, initial=np.inf))
+    return np.append(n, k.size), np.append(t, -np.inf)
+
+
+def _branch_sum(x, side: float, k, coef) -> np.ndarray:
+    """_one_sided_sum over the families that reach each point x.
+
+    side is +1 for the plus branch and -1 for the minus branch, so the
+    depth side * x is where the branch's terms e^{ik x} decay. A point
+    takes the shortest prefix of families (sorted by |Im k|), among the
+    powers of two and all of them, whose dropped terms sum to at most
+    RESIDUE_CUT of its largest kept term (_cut_depths); a point at negative
+    depth takes every family. The points of one prefix length are summed
+    together.
+    """
+    depth = side * x
+    lengths, t = _cut_depths(k, coef)
+    n = lengths[np.searchsorted(-t, -depth)]
+    n[depth < 0.0] = k.size
+    out = np.empty(x.shape)
+    for m in np.unique(n):
+        rows = n == m
+        out[rows] = _one_sided_sum(x[rows], k[:m], coef[:m])
+    return out
+
+
 def _measure(atoms):
     """(s, a) as float arrays: at least one atom, one mass each, s sorted."""
     s, a = (np.asarray(v, float) for v in atoms)
@@ -185,13 +244,19 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     The "residue" route reads points outside the support [s_0, s_-1]: a
     point ahead of the last atom takes the plus branch and one behind the
     first atom the minus branch, each through P(k) = sum_j a_j e^{-ik s_j}
-    and the total mass. Each branch sums one root per mirror family
-    (_branch_terms), so the work is one n_xi x n_families product per
-    branch. A single atom may also be read at its own position, the branch
-    average at lag 0. Any other point raises ValueError; read_wave takes
-    those by quadrature. The "quad" route has no one-sided form and sums
-    over the lags xi - s_j: from the kernel's table (KernelQuadrature.table)
-    when every lag lies within TABLE_REACH, else by quadrature.
+    and the total mass. Each branch holds one root per mirror family
+    (_branch_terms), sorted by |Im k|, and each point sums only the
+    families that reach it (_branch_sum): the shortest prefix whose
+    dropped terms sum to at most RESIDUE_CUT = 2^-60 of the point's
+    largest kept term. A read then differs from the sum over every family
+    by at most that bound, plus the two sums' rounding (a few ulps of the
+    sum of the point's term sizes). A
+    single atom may also be read at its own position, the branch average
+    at lag 0. Any other point raises ValueError; read_wave takes those by
+    quadrature. The "quad" route has no one-sided form: it sums the
+    kernel's table (KernelQuadrature.table) over the lags xi - s_j when
+    every lag lies within TABLE_REACH, else the quadrature with the measure
+    folded into its panel sum (KernelQuadrature.summed_over).
     """
     if kind not in ("U", "q"):
         raise ValueError(f"unknown convolution kind {kind!r}")
@@ -202,9 +267,9 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
     if method == "quad":
         qk = quad_kernel(V, params)
         lags = (xi[:, None] - s[None, :]).ravel()
-        inside = np.max(np.abs(lags), initial=0.0) <= TABLE_REACH
-        vals = (qk.table(kind) if inside else getattr(qk, kind))(lags)
-        return vals.reshape(len(xi), len(s)) @ a
+        if np.max(np.abs(lags), initial=0.0) > TABLE_REACH:
+            return qk.summed_over(kind, xi, (s, a))
+        return qk.table(kind)(lags).reshape(len(xi), len(s)) @ a
     if method != "residue":
         raise ValueError(f"unknown kernel method {method!r}")
     ahead, behind = xi > s[-1], xi < s[0]
@@ -214,27 +279,37 @@ def convolve(xi, atoms, V: float, params: ModelParams, kind: str = "U",
             f"the residue route reads {s.size} atoms only outside their "
             f"support [{s[0]:g}, {s[-1]:g}]; read_wave takes the points "
             "within it by quadrature")
-    (kp, wp, lkp), (km, wm, lkm) = _branch_terms(V, params)
-    mu2 = 2.0 * params.mu
-    if kind == "U":
-        sigma = sigma_AC(V, params)
-        sides = ((kp, wp / (kp * lkp), sigma - 1.0, -mu2),
-                 (km, wm / (km * lkm), sigma + 1.0, mu2))
-    else:
-        sides = ((kp, 1j * wp / lkp, 0.0, mu2),
-                 (km, 1j * wm / lkm, 0.0, -mu2))
-    mass = np.sum(a)
     out = np.empty(xi.shape)
     lag0 = []
-    for (k, coef, const, scale), rows in zip(sides, (ahead, behind)):
-        coef = coef * (a @ np.exp(np.outer(s, -1j * k)))
-        out[rows] = const * mass + scale * _one_sided_sum(xi[rows], k, coef)
+    for (k, coef, const), rows, side in zip(
+            _residue_branches(s, a, V, params, kind), (ahead, behind),
+            (1.0, -1.0)):
+        out[rows] = const + _branch_sum(xi[rows], side, k, coef)
         if on.any():
-            lag0.append(const * mass + scale * _one_sided_sum(s, k, coef)[0])
+            lag0.append(const + _branch_sum(s, side, k, coef)[0])
     if lag0:
         _truncation_check(V, *lag0, kind)
         out[on] = 0.5 * sum(lag0)
     return out
+
+
+def _residue_branches(s, a, V: float, params: ModelParams, kind: str):
+    """(k, coef, const) of the plus and of the minus branch of the measure
+    (s, a): on its branch's side a point x reads const + Re sum_k coef_k
+    e^{ik x}, k sorted by |Im k| (_branch_terms) and coef_k holding
+    P(k) = sum_j a_j e^{-ik s_j}."""
+    (kp, wp, lkp), (km, wm, lkm) = _branch_terms(V, params)
+    mu2 = 2.0 * params.mu
+    if kind == "U":
+        sigma = sigma_AC(V, params)
+        sides = ((kp, -mu2 * wp / (kp * lkp), sigma - 1.0),
+                 (km, mu2 * wm / (km * lkm), sigma + 1.0))
+    else:
+        sides = ((kp, 1j * mu2 * wp / lkp, 0.0),
+                 (km, -1j * mu2 * wm / lkm, 0.0))
+    mass = np.sum(a)
+    return [(k, coef * (a @ np.exp(np.outer(s, -1j * k))), const * mass)
+            for k, coef, const in sides]
 
 
 # the classical profile and kernel as a measure: one unit mass at 0; every
@@ -329,7 +404,8 @@ class KernelQuadrature:
     tail is integrated analytically. Construction checks the panel sums of
     q against a refined panel grid and raises QuadratureFail if the two
     disagree beyond QUAD_SELF_TOL; provenance records the plan's inputs and
-    that check. table("q") and table("U") tabulate the two on small lags.
+    that check. table("q") and table("U") tabulate the two on small lags,
+    and summed_over reads either over a measure of atoms.
     """
 
     # contour arcs engage for damped poles closer to the axis than this
@@ -432,7 +508,7 @@ class KernelQuadrature:
         return k, grid.weights / eval_L(k, self.V, self.params), n, grid.K
 
     def _integral(self, xi: np.ndarray, p: int, grid=None,
-                  tail: bool = True) -> np.ndarray:
+                  tail: bool = True, atoms=None) -> np.ndarray:
         """Part p of the contour integral of e^{ik xi} / (k^p L(k)) dk.
 
         The real part for p = 0 and the imaginary part for p = 1, at |xi| <=
@@ -440,22 +516,38 @@ class KernelQuadrature:
         (k^p L), in real arithmetic; the others e^{ik xi} / (k^p L). Points go
         in blocks of ROW_BLOCK. grid is a tuple from _make_grid, by default the
         kernel's; tail=False omits the analytic tail beyond its K.
+
+        atoms = (s, a), a measure in ascending s, folds it into the sum: the
+        result is then sum_j a_j part(I_p(xi - s_j)), every lag within
+        QUAD_REACH. The panel sum takes the measure once per node, as
+        P(k) = sum_j a_j e^{-ik s_j}, every node in complex arithmetic; the
+        analytic tail stays per lag, and a block holds ROW_BLOCK // len(s)
+        points (one at least).
         """
         xi = np.atleast_1d(np.asarray(xi, float))
-        if not np.all(np.abs(xi) <= QUAD_REACH):
+        s, a = (np.zeros(1), None) if atoms is None else atoms
+        if not (np.all(np.abs(xi - s[0]) <= QUAD_REACH)
+                and np.all(np.abs(xi - s[-1]) <= QUAD_REACH)):
             raise ValueError("the kernel quadrature reads lags only within "
                              f"|xi| <= QUAD_REACH = {QUAD_REACH:g}")
         part = (np.real, np.imag)[p]
         k, c, n, K = grid or self._grid
         c = c / k**p
+        if a is not None:
+            E = np.outer(s, -1j * k)
+            np.exp(E, out=E)
+            c, n = c * (a @ E), 0
         kr, cr = k[:n].real, c[:n].real
+        rows = max(ROW_BLOCK // s.size, 1)
         out = np.empty(xi.shape)
-        for lo in range(0, xi.size, ROW_BLOCK):
-            x = xi[lo:lo + ROW_BLOCK]
+        for lo in range(0, xi.size, rows):
+            x = xi[lo:lo + rows]
             z = np.exp(1j * np.outer(x, k[n:])) @ c[n:]
             if tail:
-                z = z + tail_integral(x, self.V, self.params, K, extra_p=p)
-            out[lo:lo + ROW_BLOCK] = \
+                T = tail_integral((x[:, None] - s).ravel(), self.V,
+                                  self.params, K, extra_p=p)
+                z = z + (T if a is None else T.reshape(x.size, s.size) @ a)
+            out[lo:lo + rows] = \
                 (np.cos, np.sin)[p](np.outer(x, kr)) @ cr + part(z)
         return out
 
@@ -471,6 +563,13 @@ class KernelQuadrature:
     def U(self, xi) -> np.ndarray:
         """Profile U(xi) at the kinetic stress sigma = Sigma(V)."""
         return self.sigma - self._c * self._integral(xi, 1)
+
+    def summed_over(self, kind: str, xi, atoms) -> np.ndarray:
+        """sum_j a_j f(xi - s_j) for f = q (kind "q") or U (kind "U") over a
+        measure (s, a) in ascending s, by one panel sum (_integral)."""
+        part = self._c * self._integral(xi, ("q", "U").index(kind),
+                                        atoms=atoms)
+        return part if kind == "q" else self.sigma * np.sum(atoms[1]) - part
 
     def rounding(self, kind: str, reach: float) -> float:
         """Rounding floor of q (kind "q") or U (kind "U") on |xi| <= reach.

@@ -27,8 +27,12 @@ from fkwaves import (
 from fkwaves import newwave
 from fkwaves.acwave import (
     NEAR_FIELD,
+    RESIDUE_CUT,
     UNIT_ATOM,
     U_profile,
+    _branch_sum,
+    _one_sided_sum,
+    _residue_branches,
     convolve,
     kernel_q,
     read_wave,
@@ -49,6 +53,10 @@ NEAR_V0 = [(0.0, (0.3526, 0.353, 0.354, 0.355, 0.356, 0.3568), 1e-3),
            (0.1, (0.35, 0.354, 0.3558), 5e-3)]
 # residue convolution of a whole measure against the sum over its atoms
 CONVOLVE_TOL = 1e-11
+# the residue route's per-point cut against the sum over every family: the
+# cut's own bound plus this many ulps of the sum of the terms' sizes (the
+# two sums round differently: up to 4.7 ulps seen, at mu 2, V 1, xi 1.5)
+CUT_ULPS = 8
 # quadrature-route assembly of the V = 0.2 wave evaluates 43 x 100 lags
 ASSEMBLE_PEAK_BYTES = 64 * 2**20
 
@@ -320,6 +328,18 @@ def atoms_and_points(draw):
     return s, a, np.array(on + near + far)
 
 
+def assert_cut_holds(x, side, k, coef):
+    """A branch's cut read at x against its sum over every family: within
+    RESIDUE_CUT of each point's largest term, plus CUT_ULPS ulps of the sum
+    of its terms' sizes for the two sums' rounding."""
+    got = _branch_sum(x, side, k, coef)
+    ref = _one_sided_sum(x, k, coef)
+    size = np.abs(np.exp(1j * np.outer(x, k)) * coef)
+    bound = (RESIDUE_CUT * np.max(size, axis=1, initial=0.0)
+             + CUT_ULPS * np.finfo(float).eps * np.sum(size, axis=1))
+    assert np.all(np.abs(got - ref) <= bound)
+
+
 class TestConvolution:
     @pytest.mark.parametrize("V, alpha", [(0.2, 0.0), (0.25, 0.1)])
     @settings(max_examples=40, deadline=None)
@@ -332,6 +352,31 @@ class TestConvolution:
                       for sj, aj in zip(s, a))
             got = convolve(xi, (s, a), V, p, kind)
             assert np.abs(got - ref).max() <= CONVOLVE_TOL, kind
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+           alpha=st.sampled_from([0.0, 0.1, 1.0]),
+           V=st.floats(0.1, 1.2), case=atoms_and_points())
+    def test_residue_cut_within_its_bound(self, mu, alpha, V, case):
+        p = ModelParams(mu, alpha)
+        assume(not is_resonant(V, p))
+        s, a, xi = case
+        for kind in ("U", "q"):
+            branches = _residue_branches(s, a, V, p, kind)
+            for (k, coef, _), side in zip(branches, (1.0, -1.0)):
+                x = xi[side * xi >= side * (s[-1] if side > 0 else s[0])]
+                assert_cut_holds(x, side, k, coef)
+
+    @pytest.mark.parametrize("mu, alpha, V", [(1.0, 0.0, 0.2),
+                                              (4.0, 1.0, 0.4)])
+    def test_residue_cut_at_the_smallest_depth(self, mu, alpha, V):
+        # a point one denormal past the atom keeps every term it needs
+        p = ModelParams(mu, alpha)
+        tiny = np.nextafter(0.0, 1.0)
+        for kind in ("U", "q"):
+            branches = _residue_branches(*UNIT_ATOM, V, p, kind)
+            for (k, coef, _), side in zip(branches, (1.0, -1.0)):
+                assert_cut_holds(np.array([side * tiny, 0.0]), side, k, coef)
 
     @pytest.mark.parametrize("V, alpha", [(0.2, 0.0), (0.25, 0.1)])
     def test_lag_zero_is_branch_average(self, V, alpha):
